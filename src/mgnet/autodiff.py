@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor_core import (ContractViolation, _axis_indices, _conv_forward,
-                          _conv_grad_input, _conv_grad_weights)
+from .tensor_core import (ContractViolation, _conv_forward, _conv_grad_input,
+                          _conv_grad_weights, _max_forward, _max_grad_input)
 
 _TAPE_STACK: list = []
 
@@ -226,38 +226,14 @@ def conv2d(x, kernel, stride: int = 1, padding=None):
 
 def max_pool(x, k: int = 1, stride: int = 2):
     """Windowed max with zero padding; gradient flows to the winning sample."""
-    from .tensor_core import PaddingMode
-
     def forward(xd):
         xd = np.asarray(xd)
         squeeze = xd.ndim == 3
         xb = xd[None] if squeeze else xd
-        b, m, n, c = xb.shape
-        rows, rvalid = _axis_indices(m, k, stride, PaddingMode.ZERO)
-        cols, cvalid = _axis_indices(n, k, stride, PaddingMode.ZERO)
-        patches = xb[:, rows[:, None, :, None], cols[None, :, None, :], :]
-        valid = (rvalid[:, None, :, None] & cvalid[None, :, None, :])[None, ..., None]
-        patches = np.where(valid, patches, 0.0)
-        ho, wo = rows.shape[0], cols.shape[0]
-        kk = 2 * k + 1
-        flat = patches.reshape(b, ho, wo, kk * kk, c)
-        win = flat.argmax(axis=3)
-        out = np.take_along_axis(flat, win[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+        out, tap = _max_forward(xb, k, stride)
 
         def vjp(g):
-            gb = (g[None] if squeeze else g)
-            p, q = win // kk, win % kk
-            rsel = rows[np.arange(ho)[None, :, None, None], p]
-            csel = cols[np.arange(wo)[None, None, :, None], q]
-            ok = (rvalid[np.arange(ho)[None, :, None, None], p]
-                  & cvalid[np.arange(wo)[None, None, :, None], q])
-            lin = ((rsel * n + csel) * b * c
-                   + np.arange(b)[:, None, None, None] * c
-                   + np.arange(c)[None, None, None, :])
-            lin = np.where(ok, lin, m * n * b * c)
-            acc = np.bincount(lin.ravel(), weights=gb.ravel(),
-                              minlength=m * n * b * c + 1)[:-1]
-            gx = np.moveaxis(acc.reshape(m, n, b, c), 2, 0)
+            gx = _max_grad_input(g[None] if squeeze else g, tap, xb.shape, k, stride)
             return (gx[0] if squeeze else gx,)
 
         return (out[0] if squeeze else out), vjp

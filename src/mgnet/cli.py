@@ -82,6 +82,11 @@ def _cmd_solve_poisson(args) -> int:
         "relative_error_vs_direct": rel_error,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2))
+    if not result.converged:
+        print(f"did not converge after {result.cycles} cycles (residual "
+              f"{result.residual_norms[-1]:.3e}); relative error vs direct solve "
+              f"{rel_error:.3e}", file=sys.stderr)
+        return 1
     print(f"solved {args.size}x{args.size} in {result.cycles} cycles; "
           f"relative error vs direct solve {rel_error:.3e}")
     return 0
@@ -242,3 +247,7 @@ def run_cli(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor_core import (ContractViolation, ConvKernel, PaddingMode, Tensor,
-                          conv2d, _axis_indices, _with_batch)
+                          conv2d, _max_forward, _with_batch)
 
 
 class ProlongationMode(enum.Enum):
@@ -133,13 +133,7 @@ def pool_max(input: Tensor, k: int = 1, stride: int = 2) -> Tensor:
     if stride < 1:
         raise ContractViolation(f"stride must be >= 1, got {stride}")
     x, squeeze = _with_batch(np.asarray(input, dtype=float))
-    _, m, n, _ = x.shape
-    rows, rvalid = _axis_indices(m, k, stride, PaddingMode.ZERO)
-    cols, cvalid = _axis_indices(n, k, stride, PaddingMode.ZERO)
-    patches = x[:, rows[:, None, :, None], cols[None, :, None, :], :]
-    mask = (rvalid[:, None, :, None] & cvalid[None, :, None, :])[None, :, :, :, :, None]
-    patches = np.where(mask, patches, 0.0)
-    out = patches.max(axis=(3, 4))
+    out, _ = _max_forward(x, k, stride)
     return out[0] if squeeze else out
 
 

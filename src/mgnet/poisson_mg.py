@@ -220,6 +220,8 @@ def solve_poisson(f, levels: int, nu=None, omega: float = 0.8, cycles: int = 50,
                   hierarchy: PoissonHierarchy | None = None) -> SolveResult:
     """Iterate u <- u + MG(f - A u) until the residual drops by `rtol`."""
     f = _as_grid(f)
+    if cycles < 1:
+        raise ContractViolation(f"cycles must be >= 1, got {cycles}")
     nu = [2] * levels if nu is None else list(nu)
     spec = SmootherSpec(omega, steps)
     if hierarchy is None:

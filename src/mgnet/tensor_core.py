@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -115,88 +114,108 @@ class ConvKernel:
 
 
 # ---------------------------------------------------------------------------
-# index maps for the three padding modes
+# shifted-slice windows: one padded copy, one strided view per kernel tap
 # ---------------------------------------------------------------------------
 
-def _reflect_indices(pos: np.ndarray, n: int) -> np.ndarray:
-    # mirror about the first/last sample without repeating the edge
-    if n == 1:
-        return np.zeros_like(pos)
-    period = 2 * n - 2
-    r = np.mod(pos, period)
-    return np.where(r < n, r, period - r)
-
-
-@lru_cache(maxsize=256)
-def _axis_indices(n_in: int, k: int, stride: int, mode: PaddingMode):
-    """Sample indices (n_out, 2k+1) along one axis plus an in-range mask."""
-    n_out = -(-n_in // stride)
-    pos = stride * np.arange(n_out)[:, None] + np.arange(-k, k + 1)[None, :]
+def _pad(x: np.ndarray, k: int, mode: PaddingMode) -> np.ndarray:
+    """(b, h, w, c) -> (b, h+2k, w+2k, c); reflection does not repeat the edge sample."""
+    b, m, n, c = x.shape
     if mode is PaddingMode.ZERO:
-        valid = (pos >= 0) & (pos < n_in)
-        idx = np.clip(pos, 0, n_in - 1)
-    elif mode is PaddingMode.PERIODIC:
-        valid = np.ones_like(pos, dtype=bool)
-        idx = np.mod(pos, n_in)
-    else:
-        valid = np.ones_like(pos, dtype=bool)
-        idx = _reflect_indices(pos, n_in)
-    idx.setflags(write=False)
-    valid.setflags(write=False)
-    return idx, valid
+        # allocate-and-assign: np.pad's per-call overhead shows on small grids
+        xp = np.zeros((b, m + 2 * k, n + 2 * k, c), dtype=x.dtype)
+        xp[:, k:k + m, k:k + n] = x
+        return xp
+    np_mode = "wrap" if mode is PaddingMode.PERIODIC else "reflect"
+    return np.pad(x, ((0, 0), (k, k), (k, k), (0, 0)), mode=np_mode)
 
 
-def _gather_patches(x: np.ndarray, k: int, stride: int, mode: PaddingMode) -> np.ndarray:
-    """(b, h, w, c) -> (b, h_out, w_out, 2k+1, 2k+1, c) window gather.
-
-    Out-of-range samples are resolved per padding mode (zeros for ZERO).
-    """
-    _, m, n, _ = x.shape
-    rows, rvalid = _axis_indices(m, k, stride, mode)
-    cols, cvalid = _axis_indices(n, k, stride, mode)
-    patches = x[:, rows[:, None, :, None], cols[None, :, None, :], :]
+def _unpad(g: np.ndarray, k: int, mode: PaddingMode) -> np.ndarray:
+    """Adjoint of `_pad`: crop the halo, folding it back onto the samples it copies."""
+    m, n = g.shape[1] - 2 * k, g.shape[2] - 2 * k
     if mode is PaddingMode.ZERO:
-        mask = rvalid[:, None, :, None] & cvalid[None, :, None, :]
-        if not mask.all():
-            patches = patches * mask[None, :, :, :, :, None]
-    return patches
-
-
-def _conv_forward(x: np.ndarray, weights: np.ndarray, bias, stride: int,
-                  mode: PaddingMode) -> np.ndarray:
-    k = (weights.shape[0] - 1) // 2
-    patches = _gather_patches(x, k, stride, mode)
-    out = np.einsum("bijpqc,pqoc->bijo", patches, weights, optimize=True)
-    if bias is not None:
-        out = out + bias
+        return g[:, k:k + m, k:k + n]
+    # source sample of every padded row / column, so `_pad` alone defines the modes
+    rows = _pad(np.arange(m).reshape(1, m, 1, 1), k, mode)[0, :, k, 0]
+    cols = _pad(np.arange(n).reshape(1, n, 1, 1), k, mode)[0, :, k, 0]
+    out = g[:, k:k + m].copy()
+    for i in (*range(k), *range(k + m, m + 2 * k)):
+        out[:, rows[i]] += g[:, i]
+    g, out = out, out[:, :, k:k + n].copy()
+    for j in (*range(k), *range(k + n, n + 2 * k)):
+        out[:, :, cols[j]] += g[:, :, j]
     return out
+
+
+def _windows(xp: np.ndarray, kk: int, stride: int, ho: int, wo: int):
+    """Yield (p, q, view) per tap: ``view[:, i, j]`` is ``xp[:, stride*i+p, stride*j+q]``."""
+    for p in range(kk):
+        for q in range(kk):
+            yield p, q, xp[:, p:p + stride * (ho - 1) + 1:stride,
+                           q:q + stride * (wo - 1) + 1:stride]
+
+
+def _conv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, stride: int,
+                  mode: PaddingMode) -> np.ndarray:
+    kk, _, cout, cin = weights.shape
+    b, m, n, _ = x.shape
+    ho, wo = -(-m // stride), -(-n // stride)
+    out = np.zeros((b * ho * wo, cout), dtype=np.result_type(x, weights, bias))
+    for p, q, win in _windows(_pad(x, kk // 2, mode), kk, stride, ho, wo):
+        out += win.reshape(-1, cin) @ weights[p, q].T
+    out += bias
+    return out.reshape(b, ho, wo, cout)
 
 
 def _conv_grad_weights(x: np.ndarray, grad_out: np.ndarray, k: int, stride: int,
                        mode: PaddingMode) -> np.ndarray:
-    patches = _gather_patches(x, k, stride, mode)
-    return np.einsum("bijpqc,bijo->pqoc", patches, grad_out, optimize=True)
+    _, ho, wo, cout = grad_out.shape
+    kk, cin = 2 * k + 1, x.shape[3]
+    g2 = grad_out.reshape(-1, cout)
+    gw = np.empty((kk, kk, cout, cin), dtype=np.result_type(x, grad_out))
+    for p, q, win in _windows(_pad(x, k, mode), kk, stride, ho, wo):
+        gw[p, q] = g2.T @ win.reshape(-1, cin)
+    return gw
 
 
 def _conv_grad_input(grad_out: np.ndarray, weights: np.ndarray, in_shape, stride: int,
                      mode: PaddingMode) -> np.ndarray:
-    """Scatter-add the adjoint of the patch gather; exact for every mode."""
+    """Add each tap's input gradient into its window of a padded buffer, then unpad."""
     b, m, n, cin = in_shape
-    k = (weights.shape[0] - 1) // 2
-    rows, rvalid = _axis_indices(m, k, stride, mode)
-    cols, cvalid = _axis_indices(n, k, stride, mode)
-    dpatch = np.einsum("bijo,pqoc->bijpqc", grad_out, weights, optimize=True)
-    if mode is PaddingMode.ZERO:
-        mask = rvalid[:, None, :, None] & cvalid[None, :, None, :]
-        dpatch = dpatch * mask[None, :, :, :, :, None]
-    # linearize (row, col) then sum with bincount; trailing (b, c) handled by
-    # expanding the linear index, which keeps the accumulation deterministic
-    lin = rows[:, None, :, None] * n + cols[None, :, None, :]
-    tail = b * cin
-    full = lin[:, :, :, :, None, None] * tail + np.arange(tail).reshape(b, cin)
-    dp = np.moveaxis(dpatch, 0, 4)  # (i, j, p, q, b, c)
-    flat = np.bincount(full.ravel(), weights=dp.ravel(), minlength=m * n * tail)
-    return np.moveaxis(flat.reshape(m, n, b, cin), 2, 0)
+    k = weights.shape[0] // 2
+    _, ho, wo, cout = grad_out.shape
+    g2 = grad_out.reshape(-1, cout)
+    gp = np.zeros((b, m + 2 * k, n + 2 * k, cin), dtype=np.result_type(grad_out, weights))
+    for p, q, win in _windows(gp, 2 * k + 1, stride, ho, wo):
+        win += (g2 @ weights[p, q]).reshape(b, ho, wo, cin)
+    return _unpad(gp, k, mode)
+
+
+def _max_forward(x: np.ndarray, k: int, stride: int):
+    """Zero-padded windowed max of (b, h, w, c) and the index of the winning tap.
+
+    The first maximal tap in row-major (p, q) order wins; a NaN always wins.
+    """
+    b, m, n, c = x.shape
+    ho, wo = -(-m // stride), -(-n // stride)
+    out = np.full((b, ho, wo, c), -np.inf, dtype=x.dtype)
+    tap = np.zeros(out.shape, dtype=np.intp)
+    for t, (_, _, win) in enumerate(_windows(_pad(x, k, PaddingMode.ZERO), 2 * k + 1,
+                                             stride, ho, wo)):
+        wins = (win > out) | np.isnan(win)
+        np.copyto(out, win, where=wins)
+        np.copyto(tap, t, where=wins)
+    return out, tap
+
+
+def _max_grad_input(grad_out: np.ndarray, tap: np.ndarray, in_shape, k: int,
+                    stride: int) -> np.ndarray:
+    """Route each output gradient to its winning tap; padding winners drop out."""
+    b, m, n, c = in_shape
+    _, ho, wo, _ = grad_out.shape
+    gp = np.zeros((b, m + 2 * k, n + 2 * k, c), dtype=grad_out.dtype)
+    for t, (_, _, win) in enumerate(_windows(gp, 2 * k + 1, stride, ho, wo)):
+        win += np.where(tap == t, grad_out, 0.0)
+    return _unpad(gp, k, PaddingMode.ZERO)
 
 
 def _with_batch(x: np.ndarray):

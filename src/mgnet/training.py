@@ -80,10 +80,8 @@ def evaluate(cfg: MgNetConfig, weights: MgNetWeights, dataset, batch_size: int =
         chunk = dataset[start:start + batch_size]
         images, labels = _stack_batch(chunk)
         z = value(_forward_logits(images, cfg, weights, training=False))
-        y = _one_hot(labels, cfg.classes)
-        zmax = z.max(axis=1, keepdims=True)
-        losses = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1)) - (z * y).sum(axis=1)
-        total_loss += float(losses.sum())
+        loss = ad.softmax_cross_entropy(z, _one_hot(labels, cfg.classes))
+        total_loss += len(chunk) * float(loss)
         correct += int((z.argmax(axis=1) == labels).sum())
     n = len(dataset)
     return total_loss / n, correct / n
@@ -163,21 +161,20 @@ def finite_diff_check(cfg: MgNetConfig, weights: MgNetWeights, images, labels,
     pre-activation sits within `kink_gap` of zero (crossable by the `step`),
     the input batch is jittered; zero-initialized biases align kinks exactly
     and cannot be cleared through the inputs, so as a last resort the bias
-    parameters are nudged for the duration of the audit and restored after.
+    parameters are nudged for the duration of the audit and restored after,
+    as are the batchnorm running buffers that the training-mode forwards update.
     """
     rng = np.random.default_rng(seed)
     images = np.asarray(images, dtype=float)
     targets = _one_hot(np.asarray(labels, dtype=int), cfg.classes)
 
     def loss_value():
-        z = _forward_logits(images, cfg, weights, training=True)
-        zd = value(z)
-        zmax = zd.max(axis=1, keepdims=True)
-        losses = zmax[:, 0] + np.log(np.exp(zd - zmax).sum(axis=1)) - (zd * targets).sum(axis=1)
-        return float(losses.mean())
+        z = value(_forward_logits(images, cfg, weights, training=True))
+        return float(ad.softmax_cross_entropy(z, targets))
 
     saved_biases = {name: p.data.copy() for name, p in weights.params.items()
                     if name.endswith("/bias") or name.endswith("/beta")}
+    saved_buffers = {name: b.copy() for name, b in weights.buffers.items()}
     try:
         for attempt in range(8):
             if 1 <= attempt <= 2:
@@ -235,4 +232,5 @@ def finite_diff_check(cfg: MgNetConfig, weights: MgNetWeights, images, labels,
     finally:
         for name, data in saved_biases.items():
             weights.params[name].data = data
+        weights.buffers.update(saved_buffers)
     return GradientCheckReport(worst, worst_name, per_parameter, checked)

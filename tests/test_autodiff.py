@@ -110,11 +110,13 @@ class TestGradientsAgainstFiniteDifferences:
             denom = np.maximum(np.abs(fd) + np.abs(grads[p.name]), 1e-8)
             assert (np.abs(fd - grads[p.name]) / denom).max() < 1e-6
 
+    # tiny and odd grids, and a 5x5 kernel on a 2x3 grid: halos wider than the grid
+    @pytest.mark.parametrize("m,n,kk", [(6, 6, 3), (1, 1, 3), (1, 4, 3), (2, 3, 3), (2, 3, 5)])
     @pytest.mark.parametrize("mode", list(PaddingMode))
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_conv_weights_bias_input(self, rng, mode, stride):
-        x = Parameter("x", rng.standard_normal((6, 6, 2)))
-        w = Parameter("w", 0.4 * rng.standard_normal((3, 3, 3, 2)))
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_conv_weights_bias_input(self, rng, mode, stride, m, n, kk):
+        x = Parameter("x", rng.standard_normal((m, n, 2)))
+        w = Parameter("w", 0.4 * rng.standard_normal((kk, kk, 3, 2)))
         b = Parameter("b", 0.1 * rng.standard_normal(3))
         probe = rng.standard_normal(3)
 
@@ -134,6 +136,19 @@ class TestGradientsAgainstFiniteDifferences:
                                             np.array([1.0, 0.0]))
 
         check_param(build, x)
+
+    def test_max_pool_tie_goes_to_first_tap(self, rng):
+        # on a constant positive input every in-range tap ties; zero padding
+        # loses, so each window's gradient lands once, on its first in-range
+        # tap in row-major order
+        x = Parameter("x", np.full((7, 6, 2), 1.5))
+        probe = rng.standard_normal((4, 3, 2))
+        grad = analytic_grads(lambda: ad.mean_all(ad.mul(ad.max_pool(x, 1, 2), probe)))["x"]
+        want = np.zeros_like(x.data)
+        for i in range(4):
+            for j in range(3):
+                want[max(2 * i - 1, 0), max(2 * j - 1, 0)] += probe[i, j] * (1.0 / probe.size)
+        np.testing.assert_array_equal(grad, want)
 
     def test_batchnorm(self, rng):
         x = Parameter("x", rng.standard_normal((4, 5, 5, 3)))

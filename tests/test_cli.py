@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import mgnet
 from mgnet.cli import run_cli, table_preset
 
 
@@ -45,6 +50,18 @@ class TestSolvePoissonCommand:
         assert payload["relative_error_vs_direct"] < 1e-8
         assert payload["converged"] is True
 
+    def test_unconverged_solve_is_check_failure(self, tmp_path, capsys):
+        out = tmp_path / "results.json"
+        code = run_cli(["solve-poisson", "--size", "17", "--levels", "3",
+                        "--cycles", "1", "--out", str(out)])
+        assert code == 1
+        assert json.loads(out.read_text())["converged"] is False
+        assert "did not converge after 1 cycles" in capsys.readouterr().err
+
+    def test_zero_cycles_is_usage_error(self, tmp_path):
+        assert run_cli(["solve-poisson", "--cycles", "0",
+                        "--out", str(tmp_path / "r.json")]) == 2
+
     def test_bad_size_is_usage_error(self, tmp_path):
         code = run_cli(["solve-poisson", "--size", "16",
                         "--out", str(tmp_path / "r.json")])
@@ -77,6 +94,16 @@ class TestUsage:
 
 
 class TestCountParams:
+    def test_runs_as_module(self):
+        src = Path(mgnet.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "mgnet.cli", "count-params",
+                               "--model", "resnet18"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["model"] == "resnet18"
+
     def test_resnet18_near_published(self, capsys):
         assert run_cli(["count-params", "--model", "resnet18", "--classes", "10"]) == 0
         payload = json.loads(capsys.readouterr().out)

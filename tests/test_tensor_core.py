@@ -40,11 +40,13 @@ class TestConv2d:
         np.testing.assert_allclose(out, expected, atol=1e-14)
         assert out[2, 2] == 0.0 and out[0, 2] == 1.0 and out[0, 0] == 2.0
 
+    # tiny and odd grids, and a 5x5 kernel on a 2x3 grid: halos wider than the grid
+    @pytest.mark.parametrize("m,n,kk", [(7, 7, 3), (1, 1, 3), (1, 4, 3), (2, 3, 3), (2, 3, 5)])
     @pytest.mark.parametrize("mode", ALL_MODES)
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_matches_bruteforce_reference(self, rng, mode, stride):
-        x = rng.standard_normal((7, 7, 3))
-        kern = ConvKernel(rng.standard_normal((3, 3, 4, 3)), rng.standard_normal(4))
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_matches_bruteforce_reference(self, rng, mode, stride, m, n, kk):
+        x = rng.standard_normal((m, n, 3))
+        kern = ConvKernel(rng.standard_normal((kk, kk, 4, 3)), rng.standard_normal(4))
         got = conv2d(x, kern, stride, mode)
         want = reference_conv2d(x, kern, stride, mode)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)

@@ -144,8 +144,12 @@ class TestFiniteDifferenceAudit:
                           use_batchnorm=True, in_channels=1, classes=3)
         weights = init_weights(cfg, seed=1)
         images = rng.random((4, 9, 9, 1))
+        buffers = {name: b.copy() for name, b in weights.buffers.items()}
         report = finite_diff_check(cfg, weights, images, [0, 1, 2, 0], seed=1)
         assert report.worst_relative_error < 1e-4
+        assert buffers.keys() == weights.buffers.keys()
+        for name, b in buffers.items():
+            assert b.tobytes() == weights.buffers[name].tobytes(), name
 
     def test_bias_nudges_are_restored(self, rng):
         cfg = MgNetConfig(J=2, nu=(1, 1), c_u=3, c_f=3, pi_variant="pi1",
