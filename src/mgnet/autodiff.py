@@ -200,6 +200,8 @@ def relu(x):
 def conv2d(x, kernel, stride: int = 1, padding=None):
     """Differentiable counterpart of tensor_core.conv2d; accepts a batch axis."""
     from .tensor_core import PaddingMode
+    if stride < 1:
+        raise ContractViolation(f"stride must be >= 1, got {stride}")
     mode = PaddingMode.ZERO if padding is None else padding
 
     def forward(xd, wd, bd):
@@ -226,6 +228,9 @@ def conv2d(x, kernel, stride: int = 1, padding=None):
 
 def max_pool(x, k: int = 1, stride: int = 2):
     """Windowed max with zero padding; gradient flows to the winning sample."""
+    if stride < 1:
+        raise ContractViolation(f"stride must be >= 1, got {stride}")
+
     def forward(xd):
         xd = np.asarray(xd)
         squeeze = xd.ndim == 3

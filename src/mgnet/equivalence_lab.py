@@ -263,11 +263,6 @@ def verify(theorem_id: str, seed: int = 0) -> EquivalenceReport:
     return _VERIFIERS[theorem_id](seed=seed)
 
 
-def verify_all(seed: int = 0, max_workers: int = 1) -> list:
-    """Run every verifier; workers > 1 runs them in separate threads."""
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(fn, seed=seed) for fn in _VERIFIERS.values()]
-            return [f.result() for f in futures]
+def verify_all(seed: int = 0) -> list:
+    """Run every verifier in order."""
     return [fn(seed=seed) for fn in _VERIFIERS.values()]

@@ -1,11 +1,11 @@
 """Discrete 2-D Poisson problem and a geometric multigrid solver.
 
-The level-1 operator is the 5-point stencil applied with zero padding
-(a Dirichlet-type truncation at the boundary, which makes it SPD); coarse
-operators come from Galerkin triple products R A P with R = P^T.  Smoothing
-is damped Jacobi expressed as a fixed convolution kernel, so the whole
-fine-to-coarse sweep is a chain of convolutions apart from the dense coarse
-operators.
+Every level's operator is a 3x3 stencil field applied with zero padding
+(a Dirichlet-type truncation at the boundary, which makes it SPD).  Level 1
+is the constant 5-point stencil; coarse fields are the Galerkin triple
+products R A P with R = P^T, probed through the transfers themselves.
+Smoothing is damped Jacobi expressed as a fixed convolution kernel, so the
+whole fine-to-coarse sweep is a chain of convolutions.
 """
 
 from __future__ import annotations
@@ -14,18 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid_transfer import (GridHierarchy, ProlongationMode, prolongate,
-                            prolongation_matrix, restrict_kr)
-from .tensor_core import ContractViolation, ConvKernel, PaddingMode, conv2d
+from .grid_transfer import GridHierarchy, ProlongationMode, prolongate, restrict_kr
+from .tensor_core import (ContractViolation, ConvKernel, PaddingMode, _pad, _windows,
+                          conv2d)
 
 POISSON_STENCIL = np.array([[0.0, -1.0, 0.0],
                             [-1.0, 4.0, -1.0],
                             [0.0, -1.0, 0.0]])
-
-
-def poisson_kernel() -> ConvKernel:
-    """The 3x3 stencil as a single-channel convolution kernel."""
-    return ConvKernel.from_matrix(POISSON_STENCIL)
 
 
 @dataclass(frozen=True)
@@ -54,55 +49,67 @@ class SmootherSpec:
 
 @dataclass
 class StencilOperator:
-    """Per-level operator: a kernel when one exists, always a dense matrix."""
+    """Level-l operator as a variable-coefficient 3x3 stencil field.
+
+    ``coef[i, j, p, q]`` multiplies ``u[i + p - 1, j + q - 1]``; samples
+    outside the grid read zero.
+    """
 
     level: int
-    shape: tuple
-    dense: np.ndarray
-    kernel: ConvKernel | None = None
+    coef: np.ndarray   # (m_l, n_l, 3, 3)
+
+    def __post_init__(self):
+        # taps that are zero everywhere (the corners of a 5-point field) are skipped
+        self._live = self.coef.any(axis=(0, 1))
+
+    @property
+    def shape(self) -> tuple:
+        return self.coef.shape[:2]
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         if u.shape != self.shape:
             raise ContractViolation(
                 f"level {self.level} operator expects shape {self.shape}, got {u.shape}")
-        if self.kernel is not None:
-            return conv2d(u[:, :, None], self.kernel, 1, PaddingMode.ZERO)[:, :, 0]
-        return (self.dense @ u.ravel()).reshape(self.shape)
-
-
-def _dense_from_stencil(m: int, n: int) -> np.ndarray:
-    """Assemble the zero-padded 5-point operator as an (mn, mn) matrix."""
-    size = m * n
-    a = np.zeros((size, size))
-    for i in range(m):
-        for j in range(n):
-            row = i * n + j
-            a[row, row] = 4.0
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                ii, jj = i + di, j + dj
-                if 0 <= ii < m and 0 <= jj < n:
-                    a[row, ii * n + jj] = -1.0
-    return a
+        m, n = self.shape
+        out = np.zeros((m, n))
+        for p, q, win in _windows(_pad(u[None, :, :, None], 1, PaddingMode.ZERO), 3, 1, m, n):
+            if self._live[p, q]:
+                out += self.coef[:, :, p, q] * win[0, :, :, 0]
+        return out
 
 
 class PoissonHierarchy:
-    """Grids, transfer matrices and Galerkin operators for one problem size."""
+    """Grids, grid transfers and one Galerkin stencil field per level."""
 
     def __init__(self, m: int, n: int | None = None, levels: int = 2,
                  mode: ProlongationMode = ProlongationMode.LINEAR):
         n = m if n is None else n
         self.grids = GridHierarchy.nodal(m, n, levels)
         self.mode = mode
-        self._prolong = []   # dense P, level l+1 -> l
-        self._ops = [StencilOperator(1, (m, n), _dense_from_stencil(m, n),
-                                     poisson_kernel())]
+        self._ops = [StencilOperator(1, np.broadcast_to(POISSON_STENCIL, (m, n, 3, 3)))]
         for l in range(1, levels):
-            cm, cn = self.grids.size(l + 1)
-            p = prolongation_matrix(cm, cn, mode)
-            self._prolong.append(p)
-            coarse = p.T @ self._ops[-1].dense @ p
-            self._ops.append(StencilOperator(l + 1, (cm, cn), coarse))
+            self._ops.append(self._galerkin(l))
+
+    def _galerkin(self, level: int) -> StencilOperator:
+        """R A^l P, probed with the 9 colour vectors ``e[a::3, b::3] = 1``.
+
+        A 3x3 field stays 3x3 under Galerkin coarsening with either
+        prolongation, and a 3x3 neighbourhood meets each colour once, so the
+        probe of the colour of (i + p - 1, j + q - 1), read at (i, j), is
+        exactly the tap (p, q) of row (i, j).
+        """
+        cm, cn = self.grids.size(level + 1)
+        probes = np.empty((3, 3, cm, cn))
+        for a in range(3):
+            for b in range(3):
+                e = np.zeros((cm, cn))
+                e[a::3, b::3] = 1.0
+                probes[a, b] = self.restrict(self.apply(self.prolong(e, level), level))
+        i = np.arange(cm)[:, None, None, None]
+        j = np.arange(cn)[None, :, None, None]
+        p, q = np.arange(3)[:, None], np.arange(3)
+        return StencilOperator(level + 1, probes[(i + p - 1) % 3, (j + q - 1) % 3, i, j])
 
     @property
     def levels(self) -> int:
@@ -117,13 +124,6 @@ class PoissonHierarchy:
         """A^l u for the level-l grid."""
         return self.operator(level).apply(u)
 
-    def coarsen(self, level: int) -> StencilOperator:
-        """The Galerkin operator one level below `level` (cached)."""
-        if level >= self.levels:
-            raise ContractViolation(
-                f"cannot coarsen below the coarsest level ({self.levels})")
-        return self._ops[level]
-
     def prolong(self, coarse: np.ndarray, level: int) -> np.ndarray:
         """Transfer level l+1 values to level l by nodal interpolation."""
         return prolongate(coarse[:, :, None], self.mode)[:, :, 0]
@@ -133,9 +133,20 @@ class PoissonHierarchy:
         return restrict_kr(fine[:, :, None], self.mode)[:, :, 0]
 
     def direct_solve(self, f: np.ndarray) -> np.ndarray:
-        """Dense solve on the finest grid, used as the reference solution."""
-        a = self._ops[0]
-        return np.linalg.solve(a.dense, np.asarray(f, dtype=float).ravel()).reshape(a.shape)
+        """Dense solve on the finest grid, used as the reference solution.
+
+        The (mn, mn) matrix is assembled from the level-1 field on each call.
+        """
+        op = self._ops[0]
+        m, n = op.shape
+        rows = np.arange(m * n).reshape(m, n)
+        cols = np.pad(rows, 1, constant_values=-1)[None, :, :, None]
+        a = np.zeros((m * n, m * n))
+        for p, q, win in _windows(cols, 3, 1, m, n):
+            col = win[0, :, :, 0]
+            inside = col >= 0
+            a[rows[inside], col[inside]] = op.coef[:, :, p, q][inside]
+        return np.linalg.solve(a, np.asarray(f, dtype=float).ravel()).reshape(m, n)
 
 
 def smooth(f: np.ndarray, spec: SmootherSpec) -> np.ndarray:

@@ -22,18 +22,6 @@ import numpy as np
 
 Tensor = np.ndarray
 
-DEFAULT_DTYPE = np.float64
-
-
-def set_default_dtype(dtype) -> None:
-    """Switch the dtype used by constructors (float32 mode for experiments).
-
-    Existing arrays are untouched; computations preserve their input dtype.
-    """
-    global DEFAULT_DTYPE
-    DEFAULT_DTYPE = np.dtype(dtype).type
-
-
 class ContractViolation(ValueError):
     """An operation was called with inputs that break its contract."""
 
@@ -46,7 +34,7 @@ class PaddingMode(enum.Enum):
 
 def as_tensor(values, dtype=None) -> Tensor:
     """Coerce to a rank-3 (h, w, c) float array; 2-D input gets one channel."""
-    a = np.asarray(values, dtype=dtype or DEFAULT_DTYPE)
+    a = np.asarray(values, dtype=dtype or np.float64)
     if a.ndim == 2:
         a = a[:, :, None]
     if a.ndim != 3:
@@ -89,8 +77,8 @@ class ConvKernel:
     @classmethod
     def zeros(cls, k: int, in_channels: int, out_channels: int) -> "ConvKernel":
         n = 2 * k + 1
-        return cls(np.zeros((n, n, out_channels, in_channels), dtype=DEFAULT_DTYPE),
-                   np.zeros(out_channels, dtype=DEFAULT_DTYPE))
+        return cls(np.zeros((n, n, out_channels, in_channels), dtype=np.float64),
+                   np.zeros(out_channels, dtype=np.float64))
 
     @classmethod
     def identity(cls, channels: int, k: int = 1) -> "ConvKernel":
@@ -103,7 +91,7 @@ class ConvKernel:
     @classmethod
     def from_matrix(cls, matrix, channels: int = 1) -> "ConvKernel":
         """Single 2-D stencil applied to each of `channels` channels independently."""
-        m = np.asarray(matrix, dtype=DEFAULT_DTYPE)
+        m = np.asarray(matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 1:
             raise ContractViolation(f"stencil must be odd square, got {m.shape}")
         k = (m.shape[0] - 1) // 2
@@ -253,7 +241,7 @@ def relu(input: Tensor) -> Tensor:
 
 def softmax(logits) -> np.ndarray:
     """Exponential normalization with max-shift for overflow safety."""
-    z = np.asarray(logits, dtype=DEFAULT_DTYPE)
+    z = np.asarray(logits, dtype=np.float64)
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
@@ -261,8 +249,8 @@ def softmax(logits) -> np.ndarray:
 
 def cross_entropy(prediction, label, clamp: float = 1e-12) -> float:
     """-sum_i label_i * log(prediction_i) with predictions clamped at `clamp`."""
-    p = np.asarray(prediction, dtype=DEFAULT_DTYPE)
-    y = np.asarray(label, dtype=DEFAULT_DTYPE)
+    p = np.asarray(prediction, dtype=np.float64)
+    y = np.asarray(label, dtype=np.float64)
     if p.shape != y.shape:
         raise ContractViolation(f"prediction shape {p.shape} != label shape {y.shape}")
     return float(-(y * np.log(np.maximum(p, clamp))).sum()) + 0.0

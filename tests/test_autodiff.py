@@ -150,6 +150,14 @@ class TestGradientsAgainstFiniteDifferences:
                 want[max(2 * i - 1, 0), max(2 * j - 1, 0)] += probe[i, j] * (1.0 / probe.size)
         np.testing.assert_array_equal(grad, want)
 
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_bad_stride_raises(self, rng, stride):
+        x = rng.standard_normal((5, 5, 1))
+        with pytest.raises(ContractViolation):
+            ad.conv2d(x, ConvKernel.identity(1), stride)
+        with pytest.raises(ContractViolation):
+            ad.max_pool(x, 1, stride)
+
     def test_batchnorm(self, rng):
         x = Parameter("x", rng.standard_normal((4, 5, 5, 3)))
         gamma = Parameter("gamma", 1.0 + 0.2 * rng.standard_normal(3))

@@ -58,6 +58,16 @@ class TestSolvePoissonCommand:
         assert json.loads(out.read_text())["converged"] is False
         assert "did not converge after 1 cycles" in capsys.readouterr().err
 
+    def test_above_65_skips_direct_comparison(self, tmp_path, capsys):
+        # the backslash cycle reduces the residual by about 0.86 per cycle here
+        out = tmp_path / "results.json"
+        assert run_cli(["solve-poisson", "--size", "129", "--levels", "5",
+                        "--cycles", "200", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["converged"] is True
+        assert payload["relative_error_vs_direct"] is None
+        assert "direct-solve comparison skipped" in capsys.readouterr().out
+
     def test_zero_cycles_is_usage_error(self, tmp_path):
         assert run_cli(["solve-poisson", "--cycles", "0",
                         "--out", str(tmp_path / "r.json")]) == 2
@@ -66,19 +76,6 @@ class TestSolvePoissonCommand:
         code = run_cli(["solve-poisson", "--size", "16",
                         "--out", str(tmp_path / "r.json")])
         assert code == 2
-
-
-class TestWorkerCap:
-    def test_thread_env_var_used_for_verify_all(self, tmp_path, monkeypatch):
-        out = tmp_path / "report.json"
-        monkeypatch.setenv("MGNET_THREADS", "4")
-        assert run_cli(["verify", "--theorem", "all", "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["all_passed"] is True
-
-    def test_garbage_env_var_falls_back(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MGNET_THREADS", "many")
-        assert run_cli(["verify", "--theorem", "sigma",
-                        "--out", str(tmp_path / "r.json")]) == 0
 
 
 class TestUsage:

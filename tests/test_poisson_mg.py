@@ -1,12 +1,46 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
+from mgnet.grid_transfer import ProlongationMode, prolongation_matrix
 from mgnet.poisson_mg import (POISSON_STENCIL, PoissonHierarchy, SmootherSpec,
-                              backslash_mg, mg0, poisson_kernel, smooth,
-                              solve_poisson)
-from mgnet.tensor_core import ContractViolation, PaddingMode
+                              backslash_mg, mg0, smooth, solve_poisson)
+from mgnet.tensor_core import ContractViolation, ConvKernel, PaddingMode
 
 from conftest import reference_conv2d
+
+
+def dense_of(apply, m, n):
+    """(mn, mn) matrix of a linear map on (m, n) grids, one unit column at a time."""
+    cols = []
+    for j in range(m * n):
+        e = np.zeros((m, n))
+        e.flat[j] = 1.0
+        cols.append(np.asarray(apply(e)).ravel())
+    return np.stack(cols, axis=1)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_poisson(m):
+    """Fine operator from the loop-based reference convolution; read-only."""
+    kern = ConvKernel.from_matrix(POISSON_STENCIL)
+    a = dense_of(lambda e: reference_conv2d(e[:, :, None], kern, 1, PaddingMode.ZERO), m, m)
+    a.flags.writeable = False
+    return a
+
+
+def held_arrays(obj):
+    """Every numpy array reachable through lists, tuples and dataclass fields."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from held_arrays(v)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from held_arrays(getattr(obj, f.name))
 
 
 class TestStencilOperator:
@@ -23,23 +57,23 @@ class TestStencilOperator:
         u[2, 2] = 1.0
         np.testing.assert_array_equal(h.apply(u, 1)[1:4, 1:4], POISSON_STENCIL)
 
-    def test_matches_dense_matvec(self, rng):
+    def test_matches_reference_conv(self, rng):
         h = PoissonHierarchy(9, 9, 2)
         u = rng.standard_normal((9, 9))
-        via_kernel = h.apply(u, 1)
-        via_dense = (h.operator(1).dense @ u.ravel()).reshape(9, 9)
-        np.testing.assert_allclose(via_kernel, via_dense, atol=1e-12)
-        via_reference = reference_conv2d(u[:, :, None], poisson_kernel(), 1,
-                                         PaddingMode.ZERO)[:, :, 0]
-        np.testing.assert_allclose(via_kernel, via_reference, atol=1e-12)
+        via_reference = reference_conv2d(u[:, :, None], ConvKernel.from_matrix(POISSON_STENCIL),
+                                         1, PaddingMode.ZERO)[:, :, 0]
+        np.testing.assert_allclose(h.apply(u, 1), via_reference, atol=1e-12)
 
     def test_shape_mismatch_raises(self):
         h = PoissonHierarchy(9, 9, 2)
         with pytest.raises(ContractViolation):
             h.apply(np.zeros((5, 5)), 1)
 
-    def test_spd_as_dense_matrix(self, rng):
-        dense = PoissonHierarchy(9, 9, 2).operator(1).dense
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_spd_as_dense_matrix(self, rng, level):
+        h = PoissonHierarchy(9, 9, 2)
+        m, n = h.grids.size(level)
+        dense = dense_of(lambda u: h.apply(u, level), m, n)
         np.testing.assert_array_equal(dense, dense.T)
         for _ in range(10):
             v = rng.standard_normal(dense.shape[0])
@@ -84,7 +118,7 @@ class TestGalerkinCoarsening:
         # column j of the dense product R A P, re-derived with the convolution
         # operators instead of assembled matrices
         h = PoissonHierarchy(9, 9, 2)
-        coarse = h.coarsen(1).dense
+        coarse = dense_of(lambda u: h.apply(u, 2), 5, 5)
         for j in range(25):
             basis = np.zeros((5, 5))
             basis.flat[j] = 1.0
@@ -92,13 +126,54 @@ class TestGalerkinCoarsening:
             np.testing.assert_allclose(coarse[:, j], column, atol=1e-12)
 
     def test_coarse_operator_symmetric(self):
-        coarse = PoissonHierarchy(9, 9, 2).coarsen(1).dense
+        h = PoissonHierarchy(9, 9, 2)
+        coarse = dense_of(lambda u: h.apply(u, 2), 5, 5)
         np.testing.assert_allclose(coarse, coarse.T, atol=1e-13)
 
-    def test_coarsen_below_bottom_raises(self):
+    @pytest.mark.parametrize("level", [0, 3])
+    def test_operator_out_of_range_raises(self, level):
         h = PoissonHierarchy(9, 9, 2)
         with pytest.raises(ContractViolation):
-            h.coarsen(2)
+            h.operator(level)
+
+    @pytest.mark.parametrize("mode", list(ProlongationMode))
+    @pytest.mark.parametrize("size,levels", [(17, 3), (33, 4)])
+    def test_field_matches_dense_galerkin_product(self, size, levels, mode):
+        # P^T A P with A from reference-convolution columns and P from
+        # prolongation_matrix, against the field read back as a dense matrix
+        h = PoissonHierarchy(size, size, levels, mode)
+        a = reference_poisson(size)
+        for l in range(2, levels + 1):
+            m, n = h.grids.size(l)
+            p = prolongation_matrix(m, n, mode)
+            a = p.T @ a @ p
+            coef = h.operator(l).coef
+            assert coef.shape == (m, n, 3, 3)
+            field = np.zeros_like(a)
+            for i in range(m):
+                for j in range(n):
+                    for di in (-1, 0, 1):
+                        for dj in (-1, 0, 1):
+                            c = coef[i, j, di + 1, dj + 1]
+                            if 0 <= i + di < m and 0 <= j + dj < n:
+                                field[i * n + j, (i + di) * n + j + dj] = c
+                            else:
+                                assert c == 0.0
+            np.testing.assert_allclose(field, a, rtol=0.0, atol=1e-12)
+
+
+class TestMatrixFree:
+    def test_257_hierarchy_is_small(self):
+        h = PoissonHierarchy(257, 257, 8)
+        arrays = list(held_arrays(list(vars(h).values())))
+        assert arrays
+        assert all(a.size <= 9 * 257 * 257 for a in arrays)
+        assert sum(a.nbytes for a in arrays) < 10e6
+
+    def test_converges_at_129(self, rng):
+        # about 0.86 residual reduction per cycle: 100-125 cycles to 1e-10
+        result = solve_poisson(rng.standard_normal((129, 129)), 5, cycles=200)
+        assert result.converged
 
 
 class TestMg0:
@@ -122,9 +197,9 @@ class TestMg0:
         trace = mg0(f, levels, nu, SmootherSpec(omega, 1), h)
 
         f_vec = f.ravel()
+        a = reference_poisson(9)
         for l in range(1, levels + 1):
             m, n = h.grids.size(l)
-            a = h.operator(l).dense
             u_vec = np.zeros(m * n)
             for i in range(nu[l - 1]):
                 u_vec = u_vec + omega / 4.0 * (f_vec - a @ u_vec)
@@ -132,10 +207,10 @@ class TestMg0:
                                            u_vec, atol=1e-12)
             np.testing.assert_allclose(trace.f_levels[l - 1].ravel(), f_vec, atol=1e-12)
             if l < levels:
-                from mgnet.grid_transfer import prolongation_matrix
                 cm, cn = h.grids.size(l + 1)
                 p = prolongation_matrix(cm, cn, h.mode)
                 f_vec = p.T @ (f_vec - a @ u_vec)
+                a = p.T @ a @ p
 
     def test_restricted_residual_identity(self, rng):
         f = rng.standard_normal((17, 17))

@@ -3,7 +3,7 @@ import pytest
 
 from mgnet.tensor_core import (ContractViolation, ConvKernel, PaddingMode,
                                as_tensor, conv2d, cross_entropy, relu, softmax)
-from mgnet.poisson_mg import POISSON_STENCIL, poisson_kernel
+from mgnet.poisson_mg import POISSON_STENCIL
 
 from conftest import reference_conv2d
 
@@ -35,8 +35,9 @@ class TestConv2d:
 
     def test_five_point_stencil_on_ones(self):
         u = np.ones((5, 5, 1))
-        out = conv2d(u, poisson_kernel(), 1, PaddingMode.ZERO)[:, :, 0]
-        expected = reference_conv2d(u, poisson_kernel(), 1, PaddingMode.ZERO)[:, :, 0]
+        kern = ConvKernel.from_matrix(POISSON_STENCIL)
+        out = conv2d(u, kern, 1, PaddingMode.ZERO)[:, :, 0]
+        expected = reference_conv2d(u, kern, 1, PaddingMode.ZERO)[:, :, 0]
         np.testing.assert_allclose(out, expected, atol=1e-14)
         assert out[2, 2] == 0.0 and out[0, 2] == 1.0 and out[0, 0] == 2.0
 
@@ -182,15 +183,5 @@ class TestTypes:
         assert (kern.k, kern.in_channels, kern.out_channels) == (2, 3, 4)
 
     def test_stencil_matrix_matches(self):
-        kern = poisson_kernel()
+        kern = ConvKernel.from_matrix(POISSON_STENCIL)
         np.testing.assert_array_equal(np.asarray(kern.weights)[:, :, 0, 0], POISSON_STENCIL)
-
-    def test_float32_mode_affects_constructors(self):
-        from mgnet import tensor_core
-        tensor_core.set_default_dtype(np.float32)
-        try:
-            assert ConvKernel.zeros(1, 2, 2).weights.dtype == np.float32
-            assert as_tensor(np.ones((2, 2))).dtype == np.float32
-        finally:
-            tensor_core.set_default_dtype(np.float64)
-        assert ConvKernel.zeros(1, 2, 2).weights.dtype == np.float64
