@@ -7,9 +7,8 @@ the structural equivalences between them at machine precision.
 """
 
 from .tensor_core import (ContractViolation, ConvKernel, PaddingMode, Tensor,
-                          as_tensor, conv2d, cross_entropy, relu, softmax)
-from .grid_transfer import (GridHierarchy, ProlongationMode, interpolate_pi,
-                            pool_average, pool_max, prolongate, restrict_kr)
+                          conv2d, relu, softmax)
+from .grid_transfer import ProlongationMode, pool_max, prolongate, restrict_kr
 from .poisson_mg import (PoissonHierarchy, SmootherSpec, backslash_mg, mg0,
                          solve_poisson)
 from .mgnet_model import (MgNetConfig, MgNetWeights, classify, count_params,

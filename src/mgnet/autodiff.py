@@ -3,9 +3,8 @@
 Every op here mirrors a plain-numpy primitive and dispatches on its inputs:
 with no active tape (or only plain arrays) it just computes the array, so the
 same forward code serves evaluation and training.  Under an active `Tape`,
-ops touching a `Node` append a record holding the inputs, a vector-Jacobian
-closure and a recompute closure; `backward` walks the records in reverse and
-`replay` re-executes them in order.
+ops touching a `Node` append a record holding the inputs and a
+vector-Jacobian closure; `backward` walks the records in reverse.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .tensor_core import (ContractViolation, _conv_forward, _conv_grad_input,
-                          _conv_grad_weights, _max_forward, _max_grad_input)
+                          _conv_grad_weights, _max_forward, _max_grad_input, softmax)
 
 _TAPE_STACK: list = []
 
@@ -25,15 +24,14 @@ def _active_tape():
 class Node:
     """One recorded value: data plus how it was computed."""
 
-    __slots__ = ("data", "grad", "parents", "vjp", "recompute", "op")
+    __slots__ = ("data", "grad", "parents", "vjp", "op")
     __array_ufunc__ = None  # keep numpy from consuming Node operands
 
-    def __init__(self, data, parents=(), vjp=None, recompute=None, op="leaf"):
+    def __init__(self, data, parents=(), vjp=None, op="leaf"):
         self.data = np.asarray(data)
         self.grad = None
         self.parents = parents
         self.vjp = vjp
-        self.recompute = recompute
         self.op = op
 
     @property
@@ -106,11 +104,6 @@ class Tape:
             if isinstance(p, Parameter):
                 self.params.setdefault(p.name, p)
 
-    def replay(self):
-        """Re-execute every record in order; leaves keep their current data."""
-        for node in self.records:
-            node.data = np.asarray(node.recompute())
-
 
 def value(x):
     """Unwrap a Node (or return a plain value unchanged)."""
@@ -123,8 +116,7 @@ def _emit(inputs, forward, op="op"):
     tape = _active_tape()
     if tape is None or not any(isinstance(i, Node) for i in inputs):
         return out
-    node = Node(out, tuple(inputs), vjp,
-                recompute=lambda: forward(*(value(i) for i in inputs))[0], op=op)
+    node = Node(out, tuple(inputs), vjp, op=op)
     tape._append(node)
     return node
 
@@ -326,9 +318,7 @@ def nodal_prolongate(x, mode):
 def softmax_vector(v):
     """Differentiable softmax of a small weight vector."""
     def forward(vd):
-        vd = np.asarray(vd)
-        e = np.exp(vd - vd.max())
-        p = e / e.sum()
+        p = softmax(vd)
         return p, lambda g: (p * (g - (g * p).sum()),)
     return _emit((v,), forward, op="softmax_vector")
 
@@ -353,11 +343,10 @@ def softmax_cross_entropy(logits, labels):
         z = zd[None] if zd.ndim == 1 else zd
         y = yd[None] if yd.ndim == 1 else yd
         zmax = z.max(axis=1, keepdims=True)
-        lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
-        losses = lse - (z * y).sum(axis=1)
-        out = losses.mean()
-        p = np.exp(z - zmax)
-        p /= p.sum(axis=1, keepdims=True)
+        e = np.exp(z - zmax)
+        total = e.sum(axis=1, keepdims=True)
+        out = (zmax[:, 0] + np.log(total[:, 0]) - (z * y).sum(axis=1)).mean()
+        p = e / total
 
         def vjp(g):
             gz = g * (p - y) / z.shape[0]

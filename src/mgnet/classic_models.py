@@ -38,11 +38,6 @@ def sigma_resnet_step(f: Tensor, xi: ConvKernel, eta: ConvKernel) -> Tensor:
     return relu(f) - _conv(relu(_conv(relu(f), eta)), xi)
 
 
-def mg_resnet_step(f: Tensor, xi_level: ConvKernel, eta_i: ConvKernel) -> Tensor:
-    """sigma-ResNet step with the xi kernel shared across iterations in a level."""
-    return sigma_resnet_step(f, xi_level, eta_i)
-
-
 def classic_cnn_step(f: Tensor, chi: ConvKernel, order: str = "post") -> Tensor:
     """One plain CNN layer: chi o sigma (order="post") or sigma o chi ("pre")."""
     if order == "post":
@@ -50,20 +45,6 @@ def classic_cnn_step(f: Tensor, chi: ConvKernel, order: str = "post") -> Tensor:
     if order == "pre":
         return relu(_conv(f, chi))
     raise ContractViolation(f"order must be 'post' or 'pre', got {order!r}")
-
-
-def densenet_step(history, theta_parts) -> Tensor:
-    """sigma(sum_j theta_j * f_j) over the collected per-iteration outputs."""
-    if len(history) != len(theta_parts):
-        raise ContractViolation(
-            f"{len(history)} history entries but {len(theta_parts)} kernel parts")
-    if not history:
-        raise ContractViolation("densenet history must not be empty")
-    acc = None
-    for f_j, theta_j in zip(history, theta_parts):
-        term = _conv(f_j, theta_j)
-        acc = term if acc is None else acc + term
-    return relu(acc)
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,11 @@ def _cmd_train(args) -> int:
             metrics.flush()
             print(f"epoch {entry['epoch']:3d}  loss {entry['loss']:.4f}  "
                   f"accuracy {entry['accuracy']:.4f}")
-        result = train(cfg, tcfg, dataset, on_epoch=on_epoch)
+        try:
+            result = train(cfg, tcfg, dataset, on_epoch=on_epoch)
+        except FloatingPointError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     ckpt = out_dir / "checkpoint.mgnet"
     data_io.save_checkpoint(ckpt, result.weights.state_dict())
     summary = {"config": cfg.to_dict(), "train": tcfg.to_dict(),

@@ -13,15 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classic_models import (classic_cnn_step, mg_resnet_step, negated,
+from .classic_models import (classic_cnn_step, iresnet_block, negated,
                              resnet_block, sigma_resnet_step)
 from .mgnet_model import MgNetConfig, init_weights, mgnet_forward, run_smoothing_sweep
 from .poisson_mg import PoissonHierarchy, SmootherSpec, mg0, smooth
 from .tensor_core import ConvKernel, PaddingMode, conv2d, relu
 
 SUITE_TOLERANCE = 1e-9
-
-THEOREM_IDS = ("mg0", "dual", "sigma", "embed")
 
 
 @dataclass(frozen=True)
@@ -72,7 +70,7 @@ class _LinearMgOperators:
         return self.h.restrict(x)
 
     def transfer(self, level: int, u):
-        cm, cn = self.h.grids.size(level + 1)
+        cm, cn = self.h.sizes[level]
         if self.pi_kernel is None:
             return np.zeros((cm, cn))
         return conv2d(u[:, :, None], self.pi_kernel, 2, PaddingMode.ZERO)[:, :, 0]
@@ -143,9 +141,7 @@ def verify_dual_iresnet(seed: int = 0, levels: int = 3, nu=(3, 3, 3), channels: 
         for i, u_i in enumerate(iterates):
             if i > 0:
                 eta, _ = weights.extract_kernel(l, i)
-                branch = conv2d(relu(conv2d(relu(f_cur), eta, 1, PaddingMode.ZERO)),
-                                xi_lin, 1, PaddingMode.ZERO)
-                f_cur = f_cur - branch
+                f_cur = iresnet_block(f_cur, negated(xi_lin), eta)
             expected = f_l - conv2d(u_i, xi, 1, PaddingMode.ZERO)
             worst = max(worst, float(np.abs(f_cur - expected).max()))
             instances += 1
@@ -234,7 +230,7 @@ def verify_cnn_embedding(layers: int = 2, channels: int = 3, size: int = 6,
     f_embed = f_plain
     for chi, eta in zip(chis, extractors):
         f_plain = classic_cnn_step(f_plain, chi, "post")
-        f_embed = mg_resnet_step(f_embed, delta_hat, eta)
+        f_embed = sigma_resnet_step(f_embed, delta_hat, eta)
         worst = max(worst, float(np.abs(f_plain - f_embed).max()))
         instances += 1
 
@@ -255,6 +251,8 @@ _VERIFIERS = {
     "sigma": verify_resnet_sigma_transform,
     "embed": verify_cnn_embedding,
 }
+
+THEOREM_IDS = tuple(_VERIFIERS)
 
 
 def verify(theorem_id: str, seed: int = 0) -> EquivalenceReport:

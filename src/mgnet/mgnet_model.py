@@ -154,7 +154,6 @@ class MgNetWeights:
     cfg: MgNetConfig
     params: dict = field(default_factory=dict)     # name -> Parameter
     buffers: dict = field(default_factory=dict)    # name -> plain ndarray
-    up_extractors: tuple = ()                      # nu' counts covered by up kernels
 
     def kernel(self, prefix: str) -> ConvKernel:
         return ConvKernel(self.params[f"{prefix}/weights"], self.params[f"{prefix}/bias"])
@@ -234,7 +233,7 @@ def init_weights(cfg: MgNetConfig, seed: int = 0, nu_up=None) -> MgNetWeights:
             site = name[:-len("/gamma")]
             buffers[f"{site}/running_mean"] = np.zeros(shape)
             buffers[f"{site}/running_var"] = np.ones(shape)
-    return MgNetWeights(cfg, params, buffers, nu_up or ())
+    return MgNetWeights(cfg, params, buffers)
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +421,8 @@ def logits(u_final, weights: MgNetWeights):
 
 
 def classify(u_final, weights: MgNetWeights) -> np.ndarray:
-    """Class probability vector for one image's final features."""
+    """Class probabilities from final features: (classes,) per image, (b, classes) per batch."""
     return softmax(value(logits(u_final, weights)))
-
-
-def predict_label(probabilities) -> int:
-    """Most probable class; ties resolve to the lowest index."""
-    return int(np.argmax(probabilities))
 
 
 def v_mgnet_forward(f, cfg: MgNetConfig, weights: MgNetWeights, nu_up,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid_transfer import GridHierarchy, ProlongationMode, prolongate, restrict_kr
+from .grid_transfer import ProlongationMode, prolongate, restrict_kr
 from .tensor_core import (ContractViolation, ConvKernel, PaddingMode, _pad, _windows,
                           conv2d)
 
@@ -80,12 +80,26 @@ class StencilOperator:
 
 
 class PoissonHierarchy:
-    """Grids, grid transfers and one Galerkin stencil field per level."""
+    """Grids, grid transfers and one Galerkin stencil field per level.
+
+    ``sizes[l - 1]`` is the level-l grid (m_l, n_l) of the nodal chain
+    m -> (m+1)/2 -> ..., which needs an odd size >= 3 at every level.
+    """
 
     def __init__(self, m: int, n: int | None = None, levels: int = 2,
                  mode: ProlongationMode = ProlongationMode.LINEAR):
         n = m if n is None else n
-        self.grids = GridHierarchy.nodal(m, n, levels)
+        if levels < 1:
+            raise ContractViolation(f"hierarchy needs at least one level, got {levels}")
+        sizes, cm, cn = [], m, n
+        for _ in range(levels):
+            if cm < 3 or cn < 3 or cm % 2 == 0 or cn % 2 == 0:
+                raise ContractViolation(
+                    f"odd nodal chain of depth {levels} does not exist for {m}x{n}: "
+                    f"level size {cm}x{cn} is not odd and >= 3")
+            sizes.append((cm, cn))
+            cm, cn = (cm + 1) // 2, (cn + 1) // 2
+        self.sizes = tuple(sizes)
         self.mode = mode
         self._ops = [StencilOperator(1, np.broadcast_to(POISSON_STENCIL, (m, n, 3, 3)))]
         for l in range(1, levels):
@@ -99,7 +113,7 @@ class PoissonHierarchy:
         probe of the colour of (i + p - 1, j + q - 1), read at (i, j), is
         exactly the tap (p, q) of row (i, j).
         """
-        cm, cn = self.grids.size(level + 1)
+        cm, cn = self.sizes[level]
         probes = np.empty((3, 3, cm, cn))
         for a in range(3):
             for b in range(3):
@@ -113,7 +127,7 @@ class PoissonHierarchy:
 
     @property
     def levels(self) -> int:
-        return self.grids.levels
+        return len(self.sizes)
 
     def operator(self, level: int) -> StencilOperator:
         if not 1 <= level <= self.levels:
@@ -188,7 +202,7 @@ def mg0(f, levels: int, nu, spec: SmootherSpec = SmootherSpec(),
         raise ContractViolation(f"nu must have {levels} entries, got {len(nu)}")
     if hierarchy is None:
         hierarchy = PoissonHierarchy(f.shape[0], f.shape[1], levels)
-    if hierarchy.grids.size(1) != f.shape or hierarchy.levels < levels:
+    if hierarchy.sizes[0] != f.shape or hierarchy.levels < levels:
         raise ContractViolation("hierarchy does not match the right-hand side")
     trace = MgTrace()
     f_l = f

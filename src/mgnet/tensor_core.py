@@ -1,4 +1,4 @@
-"""Dense tensors and the convolution / activation / loss primitives.
+"""Dense tensors and the convolution / activation / softmax primitives.
 
 Conventions used throughout the package:
 
@@ -30,18 +30,6 @@ class PaddingMode(enum.Enum):
     ZERO = "zero"
     PERIODIC = "periodic"
     REFLECTED = "reflected"
-
-
-def as_tensor(values, dtype=None) -> Tensor:
-    """Coerce to a rank-3 (h, w, c) float array; 2-D input gets one channel."""
-    a = np.asarray(values, dtype=dtype or np.float64)
-    if a.ndim == 2:
-        a = a[:, :, None]
-    if a.ndim != 3:
-        raise ContractViolation(f"expected 2-D or 3-D values, got shape {a.shape}")
-    if a.size == 0:
-        raise ContractViolation("empty tensor")
-    return a
 
 
 @dataclass
@@ -240,17 +228,9 @@ def relu(input: Tensor) -> Tensor:
 
 
 def softmax(logits) -> np.ndarray:
-    """Exponential normalization with max-shift for overflow safety."""
+    """Exponential normalization over the last axis, max-shifted for overflow safety."""
     z = np.asarray(logits, dtype=np.float64)
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
 
-
-def cross_entropy(prediction, label, clamp: float = 1e-12) -> float:
-    """-sum_i label_i * log(prediction_i) with predictions clamped at `clamp`."""
-    p = np.asarray(prediction, dtype=np.float64)
-    y = np.asarray(label, dtype=np.float64)
-    if p.shape != y.shape:
-        raise ContractViolation(f"prediction shape {p.shape} != label shape {y.shape}")
-    return float(-(y * np.log(np.maximum(p, clamp))).sum()) + 0.0

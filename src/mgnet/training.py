@@ -31,6 +31,11 @@ class TrainConfig:
             raise ContractViolation("momentum must lie in [0, 1)")
         if self.batch_size < 1:
             raise ContractViolation("batch size must be >= 1")
+        if self.epochs < 1:
+            raise ContractViolation(f"epochs must be >= 1, got {self.epochs}")
+        if self.lr_decay_every < 1:
+            raise ContractViolation(
+                f"lr_decay_every must be >= 1 epoch, got {self.lr_decay_every}")
 
     def lr_at(self, epoch: int) -> float:
         """Learning rate for a 1-based epoch index (divided every decay period)."""
@@ -38,10 +43,6 @@ class TrainConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
 
 
 def sgd_momentum_step(params: dict, grads: dict, velocity: dict, lr: float,
@@ -95,7 +96,11 @@ class TrainResult:
 
 def train(cfg: MgNetConfig, tcfg: TrainConfig, dataset, eval_dataset=None,
           weights: MgNetWeights | None = None, on_epoch=None) -> TrainResult:
-    """Per-epoch shuffled mini-batch SGD with momentum; deterministic per seed."""
+    """Per-epoch shuffled mini-batch SGD with momentum; deterministic per seed.
+
+    Raises FloatingPointError, before that batch's update, when a batch loss
+    is not finite; the epochs already reported through `on_epoch` stand.
+    """
     if not dataset:
         raise ContractViolation("training dataset is empty")
     if weights is None:
@@ -108,16 +113,20 @@ def train(cfg: MgNetConfig, tcfg: TrainConfig, dataset, eval_dataset=None,
         lr = tcfg.lr_at(epoch)
         epoch_loss = 0.0
         epoch_correct = 0
-        for start in range(0, len(dataset), tcfg.batch_size):
+        for step, start in enumerate(range(0, len(dataset), tcfg.batch_size), 1):
             batch = [dataset[i] for i in order[start:start + tcfg.batch_size]]
             images, labels = _stack_batch(batch)
             targets = _one_hot(labels, cfg.classes)
             with Tape() as tape:
                 z = _forward_logits(images, cfg, weights, training=True)
                 loss = ad.softmax_cross_entropy(z, targets)
+            batch_loss = float(value(loss))
+            if not np.isfinite(batch_loss):
+                raise FloatingPointError(
+                    f"training loss is {batch_loss} at epoch {epoch}, step {step}")
             grads = backward(tape, loss)
             sgd_momentum_step(weights.params, grads, velocity, lr, tcfg.momentum)
-            epoch_loss += float(value(loss)) * len(batch)
+            epoch_loss += batch_loss * len(batch)
             epoch_correct += int((value(z).argmax(axis=1) == labels).sum())
         entry = {"epoch": epoch,
                  "lr": lr,

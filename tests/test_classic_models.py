@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from mgnet.classic_models import (classic_cnn_step, densenet_step, iresnet_block,
-                                  mg_resnet_step, negated, resnet_block,
-                                  resnet_param_count, resnet_parameter_shapes,
-                                  sigma_resnet_step)
+from mgnet.classic_models import (classic_cnn_step, iresnet_block, negated,
+                                  resnet_block, resnet_param_count,
+                                  resnet_parameter_shapes, sigma_resnet_step)
 from mgnet.tensor_core import (ContractViolation, ConvKernel, PaddingMode,
                                conv2d, relu)
 
@@ -79,11 +78,12 @@ class TestBlocks:
         etas = [rand_kernel(rng, 3) for _ in range(3)]
         chain = f
         for eta in etas:
-            chain = mg_resnet_step(chain, xi_level, eta)
-        # the per-step form with the same xi gives the same chain
+            chain = sigma_resnet_step(chain, xi_level, eta)
+        # the displayed composition with the one level kernel gives the same chain
         check = f
         for eta in etas:
-            check = sigma_resnet_step(check, xi_level, eta)
+            check = relu(check) - conv2d(relu(conv2d(relu(check), eta, 1, PaddingMode.ZERO)),
+                                         xi_level, 1, PaddingMode.ZERO)
         np.testing.assert_array_equal(chain, check)
 
     def test_negated_kernel_is_affine_negation(self, rng):
@@ -119,33 +119,6 @@ class TestClassicCnnStep:
         with pytest.raises(ContractViolation):
             classic_cnn_step(rng.standard_normal((4, 4, 2)), ConvKernel.identity(2),
                              "sideways")
-
-
-class TestDenseNetStep:
-    def test_single_entry_reduces_to_one_convolution(self, rng):
-        f = rng.standard_normal((5, 5, 2))
-        theta = rand_kernel(rng, 4, cin=2)
-        np.testing.assert_allclose(densenet_step([f], [theta]),
-                                   relu(conv2d(f, theta, 1, PaddingMode.ZERO)),
-                                   atol=1e-13)
-
-    def test_zero_kernels_give_zero(self, rng):
-        history = [rng.standard_normal((5, 5, 2)) for _ in range(3)]
-        thetas = [ConvKernel.zeros(1, 2, 4) for _ in range(3)]
-        assert (densenet_step(history, thetas) == 0).all()
-
-    def test_two_entry_sum_matches_term_oracle(self, rng):
-        f0 = rng.standard_normal((5, 5, 2))
-        f1 = rng.standard_normal((5, 5, 3))
-        t0 = rand_kernel(rng, 4, cin=2)
-        t1 = rand_kernel(rng, 4, cin=3)
-        want = relu(conv2d(f0, t0, 1, PaddingMode.ZERO)
-                    + conv2d(f1, t1, 1, PaddingMode.ZERO))
-        np.testing.assert_allclose(densenet_step([f0, f1], [t0, t1]), want, atol=1e-12)
-
-    def test_length_mismatch_raises(self, rng):
-        with pytest.raises(ContractViolation):
-            densenet_step([rng.standard_normal((4, 4, 2))], [])
 
 
 class TestResNetLayouts:

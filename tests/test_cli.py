@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import mgnet
 from mgnet.cli import run_cli, table_preset
@@ -152,6 +153,25 @@ class TestTrainEvalCommands:
         result = json.loads(capsys.readouterr().out)
         assert 0.0 <= result["accuracy"] <= 1.0
         assert result["items"] == 400
+
+    def test_zero_epochs_is_usage_error(self, tmp_path, capsys):
+        assert run_cli(["train", "--epochs", "0", "--out", str(tmp_path / "run")]) == 2
+        assert "error: epochs must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_training_is_check_failure(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"J": 2, "nu": [1, 1], "c_u": 4, "c_f": 4,
+                                        "in_channels": 1, "classes": 2}))
+        run_dir = tmp_path / "run"
+        code = run_cli(["train", "--config", str(cfg_path), "--out", str(run_dir),
+                        "--epochs", "4", "--batch-size", "50", "--lr", "1e6"])
+        assert code == 1
+        assert "error: training loss is nan" in capsys.readouterr().err
+        metrics = [json.loads(line) for line in
+                   (run_dir / "metrics.ndjson").read_text().splitlines()]
+        assert metrics and all(np.isfinite(m["loss"]) for m in metrics)
+        assert not (run_dir / "checkpoint.mgnet").exists()
 
     def test_eval_without_config_is_input_error(self, tmp_path, capsys):
         ckpt = tmp_path / "model.mgnet"

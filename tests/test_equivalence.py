@@ -6,7 +6,7 @@ from mgnet.equivalence_lab import (SUITE_TOLERANCE, EquivalenceReport,
                                    verify, verify_all, verify_cnn_embedding,
                                    verify_dual_iresnet, verify_mgnet_mg0,
                                    verify_resnet_sigma_transform)
-from mgnet.classic_models import classic_cnn_step, mg_resnet_step
+from mgnet.classic_models import classic_cnn_step, sigma_resnet_step
 from mgnet.tensor_core import ConvKernel, PaddingMode, conv2d, relu
 
 
@@ -80,7 +80,7 @@ class TestCnnEmbedding:
         eta = doubled_extractor(chi)
         f = rng.standard_normal((5, 5, channels))
         plain = classic_cnn_step(f, chi, "post")
-        embedded = mg_resnet_step(f, delta_hat, eta)
+        embedded = sigma_resnet_step(f, delta_hat, eta)
         np.testing.assert_allclose(plain, relu(f), atol=1e-14)
         np.testing.assert_allclose(embedded, relu(f), atol=1e-14)
 

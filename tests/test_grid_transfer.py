@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from mgnet.grid_transfer import (AVERAGE_3X3, GridHierarchy, ProlongationMode,
-                                 RESTRICT_BILINEAR, RESTRICT_LINEAR,
-                                 interpolate_pi, pool_average, pool_max,
-                                 prolongate, prolongation_matrix, restrict_kr,
+from mgnet.grid_transfer import (ProlongationMode, RESTRICT_BILINEAR, RESTRICT_LINEAR,
+                                 pool_max, prolongate, prolongation_matrix, restrict_kr,
                                  restriction_kernel, restriction_matrix)
-from mgnet.tensor_core import ContractViolation, ConvKernel, PaddingMode, conv2d
+from mgnet.tensor_core import ConvKernel, PaddingMode, conv2d
 
 MODES = list(ProlongationMode)
 
@@ -107,9 +105,6 @@ class TestRestrictKr:
 
 
 class TestPooling:
-    def test_average_kernel_entries(self):
-        np.testing.assert_array_equal(AVERAGE_3X3, np.full((3, 3), 1.0 / 9.0))
-
     def test_max_constant_nonnegative(self):
         x = np.full((6, 6, 2), 3.0)
         np.testing.assert_array_equal(pool_max(x, 1, 2), np.full((3, 3, 2), 3.0))
@@ -124,48 +119,7 @@ class TestPooling:
         np.testing.assert_array_equal(pool_max(x, 1, 2)[:, :, 0],
                                       [[0.0, 0.0], [0.0, -5.0]])
 
-    def test_average_commutes_with_scaling(self, rng):
-        x = rng.standard_normal((7, 7, 2))
-        np.testing.assert_allclose(pool_average(3.5 * x), 3.5 * pool_average(x),
-                                   rtol=1e-13, atol=1e-13)
-
-    def test_average_constant_shift_interior(self, rng):
-        x = rng.standard_normal((9, 9, 1))
-        shifted = pool_average(x + 2.0, stride=1)
-        base = pool_average(x, stride=1)
-        np.testing.assert_allclose(shifted[1:-1, 1:-1], base[1:-1, 1:-1] + 2.0,
-                                   atol=1e-12)
-
-
 class TestInterpolatePi:
-    def test_pi0_zero_of_coarse_shape(self, rng):
-        u = rng.standard_normal((7, 8, 3))
-        out = interpolate_pi(u, "pi0")
-        assert out.shape == (4, 4, 3)
-        assert (out == 0).all()
-
-    def test_pi2_identity_subsamples(self, rng):
-        u = rng.standard_normal((6, 6, 4))
-        ident = ConvKernel.identity(1, k=0)
-        out = interpolate_pi(u, "pi2", ident)
-        np.testing.assert_array_equal(out, u[::2, ::2])
-
-    def test_pi1_channel_mismatch_raises(self, rng):
-        u = rng.standard_normal((6, 6, 4))
-        with pytest.raises(ContractViolation):
-            interpolate_pi(u, "pi1", ConvKernel.zeros(1, 3, 3))
-
-    def test_pi2_requires_single_channel_kernel(self, rng):
-        u = rng.standard_normal((6, 6, 4))
-        with pytest.raises(ContractViolation):
-            interpolate_pi(u, "pi2", ConvKernel.zeros(1, 2, 2))
-
-    def test_pi1_matches_plain_strided_conv(self, rng):
-        u = rng.standard_normal((8, 8, 2))
-        kern = ConvKernel(rng.standard_normal((3, 3, 2, 2)), rng.standard_normal(2))
-        np.testing.assert_array_equal(interpolate_pi(u, "pi1", kern),
-                                      conv2d(u, kern, 2, PaddingMode.ZERO))
-
     def test_weight_count_comparison(self):
         # one shared single-channel stencil vs a full channel-mixing kernel
         from mgnet.mgnet_model import MgNetConfig, parameter_shapes
@@ -175,23 +129,3 @@ class TestInterpolatePi:
         s2 = parameter_shapes(MgNetConfig(pi_variant="pi2", **base))
         assert int(np.prod(s1["level1/pi/weights"])) == 9 * 6 * 6
         assert int(np.prod(s2["level1/pi/weights"])) == 9
-
-
-class TestGridHierarchy:
-    def test_nodal_chain(self):
-        h = GridHierarchy.nodal(17, 17, 4)
-        assert h.sizes == ((17, 17), (9, 9), (5, 5), (3, 3))
-
-    def test_nodal_rejects_impossible_chain(self):
-        with pytest.raises(ContractViolation):
-            GridHierarchy.nodal(16, 16, 2)
-        with pytest.raises(ContractViolation):
-            GridHierarchy.nodal(5, 5, 4)
-
-    def test_halving_chain(self):
-        h = GridHierarchy.halving(32, 32, 5)
-        assert h.sizes == ((32, 32), (16, 16), (8, 8), (4, 4), (2, 2))
-
-    def test_sizes_strictly_decrease(self):
-        with pytest.raises(ContractViolation):
-            GridHierarchy(((4, 4), (4, 4)))

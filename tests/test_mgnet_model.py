@@ -6,10 +6,8 @@ import pytest
 from mgnet.autodiff import value
 from mgnet.mgnet_model import (MgNetConfig, classify, count_params, f_in,
                                init_weights, mgnet_forward, parameter_shapes,
-                               predict_label, run_smoothing_sweep,
-                               v_mgnet_forward)
+                               run_smoothing_sweep, v_mgnet_forward)
 from mgnet.tensor_core import ContractViolation, ConvKernel, PaddingMode, conv2d, relu
-from mgnet.grid_transfer import interpolate_pi
 
 
 def small_config(**overrides):
@@ -81,10 +79,12 @@ class TestForward:
             else:
                 raw = w.kernel(f"level{l}/pi")
                 plain = ConvKernel(np.asarray(raw.weights), np.asarray(raw.bias))
-                if pi_variant == "pi1":
-                    expected_u0 = conv2d(u_l, plain, 2, PaddingMode.ZERO)
-                else:
-                    expected_u0 = interpolate_pi(u_l, "pi2", plain)
+                if pi_variant == "pi2":
+                    # one single-channel stencil applied to every channel
+                    grouped = ConvKernel.from_matrix(plain.weights[:, :, 0, 0], cfg.c_u)
+                    grouped.bias[:] = plain.bias[0]
+                    plain = grouped
+                expected_u0 = conv2d(u_l, plain, 2, PaddingMode.ZERO)
             np.testing.assert_allclose(u_next0, expected_u0, atol=1e-13)
 
             f_l = np.asarray(value(trace.f_levels[l - 1]))
@@ -212,8 +212,15 @@ class TestHeadAndInit:
         probs = classify(np.zeros((4, 4, cfg.c_u)), w)
         np.testing.assert_allclose(probs, np.full(3, 1 / 3), atol=1e-12)
 
-    def test_tie_breaks_to_lowest_index(self):
-        assert predict_label(np.array([0.4, 0.4, 0.2])) == 0
+    def test_batch_rows_match_single_images(self, rng):
+        cfg = small_config()
+        w = init_weights(cfg, seed=0)
+        feats = rng.standard_normal((5, 4, 4, cfg.c_u))
+        probs = classify(feats, w)
+        assert probs.shape == (5, 3)
+        np.testing.assert_allclose(probs.sum(axis=1), np.ones(5), atol=1e-12)
+        for b in range(5):
+            assert probs[b].tobytes() == classify(feats[b], w).tobytes()
 
     def test_f_in_variants(self, rng):
         x = rng.random((8, 8, 1))  # non-negative

@@ -43,6 +43,20 @@ def held_arrays(obj):
             yield from held_arrays(getattr(obj, f.name))
 
 
+class TestNodalChain:
+    def test_nodal_chain(self):
+        h = PoissonHierarchy(17, 17, 4)
+        assert h.sizes == ((17, 17), (9, 9), (5, 5), (3, 3))
+
+    def test_nodal_rejects_impossible_chain(self):
+        with pytest.raises(ContractViolation, match="odd nodal chain"):
+            PoissonHierarchy(16, 16, 2)
+        with pytest.raises(ContractViolation, match="odd nodal chain"):
+            PoissonHierarchy(5, 5, 4)
+        with pytest.raises(ContractViolation, match="at least one level"):
+            PoissonHierarchy(9, 9, 0)
+
+
 class TestStencilOperator:
     def test_ones_pattern(self):
         h = PoissonHierarchy(5, 5, 2)
@@ -72,7 +86,7 @@ class TestStencilOperator:
     @pytest.mark.parametrize("level", [1, 2])
     def test_spd_as_dense_matrix(self, rng, level):
         h = PoissonHierarchy(9, 9, 2)
-        m, n = h.grids.size(level)
+        m, n = h.sizes[level - 1]
         dense = dense_of(lambda u: h.apply(u, level), m, n)
         np.testing.assert_array_equal(dense, dense.T)
         for _ in range(10):
@@ -144,7 +158,7 @@ class TestGalerkinCoarsening:
         h = PoissonHierarchy(size, size, levels, mode)
         a = reference_poisson(size)
         for l in range(2, levels + 1):
-            m, n = h.grids.size(l)
+            m, n = h.sizes[l - 1]
             p = prolongation_matrix(m, n, mode)
             a = p.T @ a @ p
             coef = h.operator(l).coef
@@ -199,7 +213,7 @@ class TestMg0:
         f_vec = f.ravel()
         a = reference_poisson(9)
         for l in range(1, levels + 1):
-            m, n = h.grids.size(l)
+            m, n = h.sizes[l - 1]
             u_vec = np.zeros(m * n)
             for i in range(nu[l - 1]):
                 u_vec = u_vec + omega / 4.0 * (f_vec - a @ u_vec)
@@ -207,7 +221,7 @@ class TestMg0:
                                            u_vec, atol=1e-12)
             np.testing.assert_allclose(trace.f_levels[l - 1].ravel(), f_vec, atol=1e-12)
             if l < levels:
-                cm, cn = h.grids.size(l + 1)
+                cm, cn = h.sizes[l]
                 p = prolongation_matrix(cm, cn, h.mode)
                 f_vec = p.T @ (f_vec - a @ u_vec)
                 a = p.T @ a @ p

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mgnet.tensor_core import (ContractViolation, ConvKernel, PaddingMode,
-                               as_tensor, conv2d, cross_entropy, relu, softmax)
+                               conv2d, relu, softmax)
 from mgnet.poisson_mg import POISSON_STENCIL
 
 from conftest import reference_conv2d
@@ -138,40 +138,7 @@ class TestSoftmax:
         np.testing.assert_allclose(softmax(z + 123.456), p, atol=1e-12)
 
 
-class TestCrossEntropy:
-    def test_perfect_prediction(self):
-        assert cross_entropy([1.0, 0.0], [1.0, 0.0]) == 0.0
-
-    def test_even_split(self):
-        assert abs(cross_entropy([0.5, 0.5], [1.0, 0.0]) - np.log(2)) < 1e-14
-
-    def test_matches_summation_oracle(self, rng):
-        p = softmax(rng.standard_normal(7))
-        y = np.zeros(7)
-        y[3] = 1.0
-        oracle = -sum(float(y[i]) * np.log(max(p[i], 1e-12)) for i in range(7))
-        assert abs(cross_entropy(p, y) - oracle) < 1e-14
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ContractViolation):
-            cross_entropy([0.5, 0.5], [1.0, 0.0, 0.0])
-
-    def test_nonnegative(self, rng):
-        p = softmax(rng.standard_normal(5))
-        y = np.zeros(5)
-        y[0] = 1.0
-        assert cross_entropy(p, y) >= 0.0
-
-
 class TestTypes:
-    def test_as_tensor_promotes_2d(self):
-        t = as_tensor(np.ones((3, 4)))
-        assert t.shape == (3, 4, 1)
-
-    def test_as_tensor_rejects_bad_rank(self):
-        with pytest.raises(ContractViolation):
-            as_tensor(np.ones(5))
-
     def test_kernel_shape_validation(self):
         with pytest.raises(ContractViolation):
             ConvKernel(np.zeros((2, 2, 1, 1)), np.zeros(1))

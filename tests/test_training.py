@@ -49,6 +49,16 @@ class TestSchedule:
         with pytest.raises(ContractViolation):
             TrainConfig(batch_size=0)
 
+    def test_epochs_must_be_positive(self):
+        TrainConfig(epochs=1)
+        with pytest.raises(ContractViolation, match="epochs"):
+            TrainConfig(epochs=0)
+
+    def test_decay_period_must_be_positive(self):
+        TrainConfig(lr_decay_every=1)
+        with pytest.raises(ContractViolation, match="lr_decay_every"):
+            TrainConfig(lr_decay_every=0)
+
 
 def toy_config(classes=2):
     return MgNetConfig(J=2, nu=(1, 1), c_u=4, c_f=4, pi_variant="pi1",
@@ -82,6 +92,16 @@ class TestTrainLoop:
         result = train(toy_config(), TrainConfig(epochs=1, batch_size=20, seed=0),
                        data, eval_dataset=held_out)
         assert "test_accuracy" in result.history[0]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_stops_before_the_update(self):
+        cfg = MgNetConfig(J=2, nu=(1, 1), c_u=4, c_f=4, in_channels=1, classes=2)
+        data = gen_synthetic(2, 16, size=8, seed=0)
+        reported = []
+        with pytest.raises(FloatingPointError, match=r"epoch 2, step \d+"):
+            train(cfg, TrainConfig(learning_rate=1e6, batch_size=8, epochs=4), data,
+                  on_epoch=reported.append)
+        assert [entry["epoch"] for entry in reported] == [1]
 
     def test_bn_buffers_move_during_training(self):
         data = gen_synthetic(2, 20, size=12, seed=5)
