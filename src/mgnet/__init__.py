@@ -8,9 +8,8 @@ the structural equivalences between them at machine precision.
 
 from .tensor_core import (ContractViolation, ConvKernel, PaddingMode, Tensor,
                           conv2d, relu, softmax)
-from .grid_transfer import ProlongationMode, pool_max, prolongate, restrict_kr
-from .poisson_mg import (PoissonHierarchy, SmootherSpec, backslash_mg, mg0,
-                         solve_poisson)
+from .grid_transfer import ProlongationMode, prolongate, restrict_kr
+from .poisson_mg import PoissonHierarchy, backslash_mg, mg0, solve_poisson
 from .mgnet_model import (MgNetConfig, MgNetWeights, classify, count_params,
                           init_weights, mgnet_forward, v_mgnet_forward)
 from .equivalence_lab import (EquivalenceReport, verify, verify_all)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .tensor_core import (ContractViolation, _conv_forward, _conv_grad_input,
-                          _conv_grad_weights, _max_forward, _max_grad_input, softmax)
+                          _conv_grad_weights, _max_forward, _max_grad_input, _with_batch,
+                          softmax)
 
 _TAPE_STACK: list = []
 
@@ -197,9 +198,7 @@ def conv2d(x, kernel, stride: int = 1, padding=None):
     mode = PaddingMode.ZERO if padding is None else padding
 
     def forward(xd, wd, bd):
-        xd = np.asarray(xd)
-        squeeze = xd.ndim == 3
-        xb = xd[None] if squeeze else xd
+        xb, squeeze = _with_batch(np.asarray(xd))
         if xb.shape[-1] != wd.shape[3]:
             raise ContractViolation(
                 f"input has {xb.shape[-1]} channels but kernel expects {wd.shape[3]}")
@@ -224,9 +223,7 @@ def max_pool(x, k: int = 1, stride: int = 2):
         raise ContractViolation(f"stride must be >= 1, got {stride}")
 
     def forward(xd):
-        xd = np.asarray(xd)
-        squeeze = xd.ndim == 3
-        xb = xd[None] if squeeze else xd
+        xb, squeeze = _with_batch(np.asarray(xd))
         out, tap = _max_forward(xb, k, stride)
 
         def vjp(g):

@@ -16,7 +16,7 @@ import numpy as np
 from .classic_models import (classic_cnn_step, iresnet_block, negated,
                              resnet_block, sigma_resnet_step)
 from .mgnet_model import MgNetConfig, init_weights, mgnet_forward, run_smoothing_sweep
-from .poisson_mg import PoissonHierarchy, SmootherSpec, mg0, smooth
+from .poisson_mg import PoissonHierarchy, mg0, smooth
 from .tensor_core import ConvKernel, PaddingMode, conv2d, relu
 
 SUITE_TOLERANCE = 1e-9
@@ -49,9 +49,9 @@ def _rand_kernel(rng, k, cin, cout, scale=0.5, bias=True) -> ConvKernel:
 class _LinearMgOperators:
     """Multigrid operators packaged for the network sweep skeleton."""
 
-    def __init__(self, hierarchy: PoissonHierarchy, spec: SmootherSpec, pi_kernel):
+    def __init__(self, hierarchy: PoissonHierarchy, omega: float, pi_kernel):
         self.h = hierarchy
-        self.spec = spec
+        self.omega = omega
         self.pi_kernel = pi_kernel  # None means the zero interpolation
 
     def zero_features(self, f1):
@@ -64,7 +64,7 @@ class _LinearMgOperators:
         return self.h.apply(u, level)
 
     def extract(self, level: int, i: int, r):
-        return smooth(r, self.spec)
+        return smooth(r, self.h.operator(level), self.omega)
 
     def restrict(self, level: int, x):
         return self.h.restrict(x)
@@ -86,9 +86,8 @@ def verify_mgnet_mg0(size: int = 17, levels: int = 3, nu=(2, 2, 2), omega: float
     """
     rng = np.random.default_rng(seed)
     hierarchy = PoissonHierarchy(size, size, levels)
-    spec = SmootherSpec(omega, 1)
     f = rng.standard_normal((size, size))
-    reference = mg0(f, levels, list(nu), spec, hierarchy)
+    reference = mg0(f, levels, list(nu), omega, hierarchy)
 
     worst = 0.0
     instances = 0
@@ -98,7 +97,7 @@ def verify_mgnet_mg0(size: int = 17, levels: int = 3, nu=(2, 2, 2), omega: float
         "pi2": _rand_kernel(rng, 1, 1, 1),
     }
     for pi_kernel in pi_choices.values():
-        ops = _LinearMgOperators(hierarchy, spec, pi_kernel)
+        ops = _LinearMgOperators(hierarchy, omega, pi_kernel)
         _, net = run_smoothing_sweep(f, list(nu), ops, "single")
         for l in range(1, levels + 1):
             u0 = net.u_iterates[l - 1][0]

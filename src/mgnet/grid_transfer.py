@@ -13,8 +13,7 @@ import enum
 
 import numpy as np
 
-from .tensor_core import (ContractViolation, ConvKernel, PaddingMode, Tensor,
-                          conv2d, _max_forward, _with_batch)
+from .tensor_core import ConvKernel, PaddingMode, Tensor, conv2d, _with_batch
 
 
 class ProlongationMode(enum.Enum):
@@ -67,15 +66,6 @@ def restrict_kr(fine: Tensor, mode: ProlongationMode = ProlongationMode.BILINEAR
     channels = x.shape[-1] if x.ndim >= 3 else 1
     kern = ConvKernel.from_matrix(restriction_kernel(mode), channels)
     return conv2d(x, kern, stride=2, padding=PaddingMode.ZERO)
-
-
-def pool_max(input: Tensor, k: int = 1, stride: int = 2) -> Tensor:
-    """(2k+1)x(2k+1) windowed maximum with stride; out-of-range samples read 0."""
-    if stride < 1:
-        raise ContractViolation(f"stride must be >= 1, got {stride}")
-    x, squeeze = _with_batch(np.asarray(input, dtype=float))
-    out, _ = _max_forward(x, k, stride)
-    return out[0] if squeeze else out
 
 
 def prolongation_matrix(m: int, n: int, mode: ProlongationMode) -> np.ndarray:

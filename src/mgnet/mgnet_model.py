@@ -70,13 +70,12 @@ class MgNetConfig:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "MgNetConfig":
-        return cls(**d)
-
-    @classmethod
     def from_json(cls, path) -> "MgNetConfig":
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                return cls(**json.load(fh))
+            except (TypeError, ValueError) as exc:  # also bad JSON and bad field values
+                raise ContractViolation(f"{path}: not a valid model config: {exc}") from exc
 
     # structural predicates used by both the forward pass and the counter
 

@@ -4,8 +4,8 @@ Every level's operator is a 3x3 stencil field applied with zero padding
 (a Dirichlet-type truncation at the boundary, which makes it SPD).  Level 1
 is the constant 5-point stencil; coarse fields are the Galerkin triple
 products R A P with R = P^T, probed through the transfers themselves.
-Smoothing is damped Jacobi expressed as a fixed convolution kernel, so the
-whole fine-to-coarse sweep is a chain of convolutions.
+Smoothing is damped Jacobi scaled by the centre tap of each level's own
+field, so the smoother needs no second per-level representation.
 """
 
 from __future__ import annotations
@@ -15,36 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid_transfer import ProlongationMode, prolongate, restrict_kr
-from .tensor_core import (ContractViolation, ConvKernel, PaddingMode, _pad, _windows,
-                          conv2d)
+from .tensor_core import ContractViolation, PaddingMode, _pad, _windows
 
 POISSON_STENCIL = np.array([[0.0, -1.0, 0.0],
                             [-1.0, 4.0, -1.0],
                             [0.0, -1.0, 0.0]])
-
-
-@dataclass(frozen=True)
-class SmootherSpec:
-    """Damped Jacobi smoother; one plain step or two steps fused into a kernel."""
-
-    omega: float = 0.8
-    steps: int = 1
-
-    def __post_init__(self):
-        if not 0.0 < self.omega < 2.0:
-            raise ContractViolation(f"omega must lie in (0, 2), got {self.omega}")
-        if self.steps not in (1, 2):
-            raise ContractViolation(f"steps must be 1 or 2, got {self.steps}")
-
-    def kernel(self) -> ConvKernel:
-        w = self.omega
-        if self.steps == 1:
-            return ConvKernel.from_matrix(np.array([[w / 4.0]]))
-        center = w * (2.0 - w) / 4.0
-        cross = w * w / 16.0
-        return ConvKernel.from_matrix(np.array([[0.0, cross, 0.0],
-                                                [cross, center, cross],
-                                                [0.0, cross, 0.0]]))
 
 
 @dataclass
@@ -66,11 +41,15 @@ class StencilOperator:
     def shape(self) -> tuple:
         return self.coef.shape[:2]
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
+    def _checked(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         if u.shape != self.shape:
             raise ContractViolation(
                 f"level {self.level} operator expects shape {self.shape}, got {u.shape}")
+        return u
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        u = self._checked(u)
         m, n = self.shape
         out = np.zeros((m, n))
         for p, q, win in _windows(_pad(u[None, :, :, None], 1, PaddingMode.ZERO), 3, 1, m, n):
@@ -163,10 +142,11 @@ class PoissonHierarchy:
         return np.linalg.solve(a, np.asarray(f, dtype=float).ravel()).reshape(m, n)
 
 
-def smooth(f: np.ndarray, spec: SmootherSpec) -> np.ndarray:
-    """Apply the Jacobi kernel to a residual-style right-hand side."""
-    f = np.asarray(f, dtype=float)
-    return conv2d(f[:, :, None], spec.kernel(), 1, PaddingMode.ZERO)[:, :, 0]
+def smooth(r: np.ndarray, op: StencilOperator, omega: float) -> np.ndarray:
+    """Damped Jacobi correction omega D^-1 r, D the diagonal of the level's field."""
+    if not 0.0 < omega < 2.0:
+        raise ContractViolation(f"omega must lie in (0, 2), got {omega}")
+    return omega * op._checked(r) / op.coef[:, :, 1, 1]
 
 
 @dataclass
@@ -191,7 +171,7 @@ def _as_grid(f) -> np.ndarray:
     return f
 
 
-def mg0(f, levels: int, nu, spec: SmootherSpec = SmootherSpec(),
+def mg0(f, levels: int, nu, omega: float = 0.8,
         hierarchy: PoissonHierarchy | None = None) -> MgTrace:
     """Fine-to-coarse sweep: nu_l smoothings per level, then residual restriction.
 
@@ -210,7 +190,7 @@ def mg0(f, levels: int, nu, spec: SmootherSpec = SmootherSpec(),
         u = np.zeros_like(f_l)
         iterates = [u]
         for _ in range(nu[l - 1]):
-            u = u + smooth(f_l - hierarchy.apply(u, l), spec)
+            u = u + smooth(f_l - hierarchy.apply(u, l), hierarchy.operator(l), omega)
             iterates.append(u)
         trace.f_levels.append(f_l)
         trace.u_iterates.append(iterates)
@@ -219,13 +199,13 @@ def mg0(f, levels: int, nu, spec: SmootherSpec = SmootherSpec(),
     return trace
 
 
-def backslash_mg(f, levels: int, nu, spec: SmootherSpec = SmootherSpec(),
+def backslash_mg(f, levels: int, nu, omega: float = 0.8,
                  hierarchy: PoissonHierarchy | None = None) -> np.ndarray:
     """One backslash cycle: the mg0 sweep plus coarse-to-fine corrections."""
     f = _as_grid(f)
     if hierarchy is None:
         hierarchy = PoissonHierarchy(f.shape[0], f.shape[1], levels)
-    trace = mg0(f, levels, nu, spec, hierarchy)
+    trace = mg0(f, levels, nu, omega, hierarchy)
     u = trace.solutions
     for l in range(levels - 1, 0, -1):
         u[l - 1] = u[l - 1] + hierarchy.prolong(u[l], l)
@@ -241,14 +221,12 @@ class SolveResult:
 
 
 def solve_poisson(f, levels: int, nu=None, omega: float = 0.8, cycles: int = 50,
-                  rtol: float = 1e-10, steps: int = 1,
-                  hierarchy: PoissonHierarchy | None = None) -> SolveResult:
+                  rtol: float = 1e-10, hierarchy: PoissonHierarchy | None = None) -> SolveResult:
     """Iterate u <- u + MG(f - A u) until the residual drops by `rtol`."""
     f = _as_grid(f)
     if cycles < 1:
         raise ContractViolation(f"cycles must be >= 1, got {cycles}")
     nu = [2] * levels if nu is None else list(nu)
-    spec = SmootherSpec(omega, steps)
     if hierarchy is None:
         hierarchy = PoissonHierarchy(f.shape[0], f.shape[1], levels)
     u = np.zeros_like(f)
@@ -258,7 +236,7 @@ def solve_poisson(f, levels: int, nu=None, omega: float = 0.8, cycles: int = 50,
         return SolveResult(u, [0.0], 0, True)
     for cycle in range(1, cycles + 1):
         r = f - hierarchy.apply(u, 1)
-        u = u + backslash_mg(r, levels, nu, spec, hierarchy)
+        u = u + backslash_mg(r, levels, nu, omega, hierarchy)
         res = float(np.linalg.norm(f - hierarchy.apply(u, 1)))
         history.append(res)
         if res <= rtol * f_norm:

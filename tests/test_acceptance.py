@@ -14,7 +14,7 @@ from mgnet.equivalence_lab import verify_all
 from mgnet.grid_transfer import (ProlongationMode, prolongation_matrix,
                                  restriction_kernel, restriction_matrix)
 from mgnet.mgnet_model import MgNetConfig, count_params, init_weights, mgnet_forward
-from mgnet.poisson_mg import PoissonHierarchy, SmootherSpec, smooth, solve_poisson
+from mgnet.poisson_mg import PoissonHierarchy, smooth, solve_poisson
 from mgnet.training import TrainConfig, finite_diff_check, train
 
 
@@ -72,20 +72,26 @@ def test_criterion_3_kernel_exactness():
             p = prolongation_matrix(coarse, coarse, mode)
             r = restriction_matrix(2 * coarse - 1, 2 * coarse - 1, mode)
             transpose_ok &= np.array_equal(r, p.T)
+    # the smoother is omega D^-1 r on every level, D the diagonal of the dense
+    # matrix that `apply` represents
     rng = np.random.default_rng(3)
-    hierarchy = PoissonHierarchy(9, 9, 2)
+    hierarchy = PoissonHierarchy(33, 33, 4)
     worst = 0.0
-    for omega in (0.4, 0.8, 1.0, 1.5):
-        f = rng.standard_normal((9, 9))
-        one = SmootherSpec(omega, 1)
-        fused = smooth(f, SmootherSpec(omega, 2))
-        first = smooth(f, one)
-        composed = first + smooth(f - hierarchy.apply(first, 1), one)
-        worst = max(worst, float(np.abs(fused - composed).max()))
+    for level, (m, n) in enumerate(hierarchy.sizes, start=1):
+        diag = np.empty(m * n)
+        for j in range(m * n):
+            e = np.zeros((m, n))
+            e.flat[j] = 1.0
+            diag[j] = hierarchy.apply(e, level).flat[j]
+        for omega in (0.4, 0.8, 1.0, 1.5):
+            r = rng.standard_normal((m, n))
+            jacobi = (omega / diag * r.ravel()).reshape(m, n)
+            got = smooth(r, hierarchy.operator(level), omega)
+            worst = max(worst, float(np.abs(got - jacobi).max()))
     ok = bilinear_ok and linear_ok and transpose_ok and worst < 1e-12
     verdict(3, ok, f"kernels exact={bilinear_ok and linear_ok}, "
                    f"restriction==prolongation^T={transpose_ok}, "
-                   f"fused two-step vs composed {worst:.1e}")
+                   f"smoother vs omega D^-1 r on 4 levels {worst:.1e}")
 
 
 def test_criterion_4_gradient_correctness():

@@ -145,6 +145,14 @@ class TestGradientsAgainstFiniteDifferences:
         with pytest.raises(ContractViolation):
             ad.max_pool(x, 1, stride)
 
+    @pytest.mark.parametrize("shape", [(5, 5), (1, 1, 5, 5, 1)], ids=["rank2", "rank5"])
+    def test_bad_rank_raises(self, rng, shape):
+        x = rng.standard_normal(shape)
+        with pytest.raises(ContractViolation):
+            ad.conv2d(x, ConvKernel.identity(1), 1)
+        with pytest.raises(ContractViolation):
+            ad.max_pool(x, 1, 2)
+
     def test_batchnorm(self, rng):
         x = Parameter("x", rng.standard_normal((4, 5, 5, 3)))
         gamma = Parameter("gamma", 1.0 + 0.2 * rng.standard_normal(3))
@@ -206,6 +214,24 @@ class TestGradientsAgainstFiniteDifferences:
 
         for p in (a, b):
             check_param(build, p)
+
+
+class TestMaxPoolValues:
+    # plain arrays: no tape records, the op returns the array
+    def test_max_constant_nonnegative(self):
+        x = np.full((6, 6, 2), 3.0)
+        np.testing.assert_array_equal(ad.max_pool(x, 1, 2), np.full((3, 3, 2), 3.0))
+
+    def test_max_window_example(self):
+        x = np.arange(1.0, 17.0).reshape(4, 4)[:, :, None]
+        np.testing.assert_array_equal(ad.max_pool(x, 1, 2)[:, :, 0],
+                                      [[6.0, 8.0], [14.0, 16.0]])
+
+    def test_max_zero_padding_caps_negative_borders(self):
+        x = np.full((4, 4, 1), -5.0)
+        # border windows include padded zeros; the interior window does not
+        np.testing.assert_array_equal(ad.max_pool(x, 1, 2)[:, :, 0],
+                                      [[0.0, 0.0], [0.0, -5.0]])
 
 
 class TestNodeArithmetic:

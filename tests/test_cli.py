@@ -69,6 +69,14 @@ class TestSolvePoissonCommand:
         assert payload["relative_error_vs_direct"] is None
         assert "direct-solve comparison skipped" in capsys.readouterr().out
 
+    def test_six_levels_at_65_converge(self, tmp_path):
+        # coarse boundary diagonals reach 23.4 here; Jacobi weighted by
+        # omega / 4 instead of omega / diag diverges
+        out = tmp_path / "results.json"
+        assert run_cli(["solve-poisson", "--size", "65", "--levels", "6",
+                        "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["converged"] is True
+
     def test_zero_cycles_is_usage_error(self, tmp_path):
         assert run_cli(["solve-poisson", "--cycles", "0",
                         "--out", str(tmp_path / "r.json")]) == 2
@@ -114,6 +122,16 @@ class TestCountParams:
 
     def test_mgnet_requires_config(self, capsys):
         assert run_cli(["count-params", "--model", "mgnet"]) == 2
+
+    @pytest.mark.parametrize("text", ['{"J": 2, "nu": [1, 1], "bogus": 1}',
+                                      '{"J": 2, "nu": 3}', '[1, 2]', '{bad json'],
+                             ids=["unknown-key", "scalar-nu", "list", "malformed"])
+    def test_bad_config_file_is_usage_error(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert run_cli(["count-params", "--model", "mgnet", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
 
     def test_mgnet_with_config_file(self, tmp_path, capsys):
         cfg = table_preset("mgnet-2-256-256-pi0")

@@ -26,13 +26,12 @@ class TestMg0Equivalence:
         # with the zero transfer the lifted identity collapses to f~ = f
         from mgnet.equivalence_lab import _LinearMgOperators
         from mgnet.mgnet_model import run_smoothing_sweep
-        from mgnet.poisson_mg import PoissonHierarchy, SmootherSpec, mg0
+        from mgnet.poisson_mg import PoissonHierarchy, mg0
         h = PoissonHierarchy(17, 17, 3)
-        spec = SmootherSpec(0.8, 1)
         f = rng.standard_normal((17, 17))
-        reference = mg0(f, 3, [2, 2, 2], spec, h)
+        reference = mg0(f, 3, [2, 2, 2], 0.8, h)
         _, net = run_smoothing_sweep(f, [2, 2, 2],
-                                     _LinearMgOperators(h, spec, None), "single")
+                                     _LinearMgOperators(h, 0.8, None), "single")
         for l in range(3):
             np.testing.assert_array_equal(net.f_levels[l], reference.f_levels[l])
             for u_ref, u_net in zip(reference.u_iterates[l], net.u_iterates[l]):

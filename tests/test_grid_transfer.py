@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mgnet.grid_transfer import (ProlongationMode, RESTRICT_BILINEAR, RESTRICT_LINEAR,
-                                 pool_max, prolongate, prolongation_matrix, restrict_kr,
+                                 prolongate, prolongation_matrix, restrict_kr,
                                  restriction_kernel, restriction_matrix)
 from mgnet.tensor_core import ConvKernel, PaddingMode, conv2d
 
@@ -103,21 +103,6 @@ class TestRestrictKr:
                 out[:, :, c], restrict_kr(f[:, :, c:c + 1], ProlongationMode.BILINEAR)[:, :, 0],
                 rtol=1e-13, atol=1e-13)
 
-
-class TestPooling:
-    def test_max_constant_nonnegative(self):
-        x = np.full((6, 6, 2), 3.0)
-        np.testing.assert_array_equal(pool_max(x, 1, 2), np.full((3, 3, 2), 3.0))
-
-    def test_max_window_example(self):
-        x = np.arange(1.0, 17.0).reshape(4, 4)[:, :, None]
-        np.testing.assert_array_equal(pool_max(x, 1, 2)[:, :, 0], [[6.0, 8.0], [14.0, 16.0]])
-
-    def test_max_zero_padding_caps_negative_borders(self):
-        x = np.full((4, 4, 1), -5.0)
-        # border windows include padded zeros; the interior window does not
-        np.testing.assert_array_equal(pool_max(x, 1, 2)[:, :, 0],
-                                      [[0.0, 0.0], [0.0, -5.0]])
 
 class TestInterpolatePi:
     def test_weight_count_comparison(self):
