@@ -11,7 +11,7 @@ from .tensor_core import (ContractViolation, ConvKernel, PaddingMode, Tensor,
 from .grid_transfer import ProlongationMode, prolongate, restrict_kr
 from .poisson_mg import PoissonHierarchy, backslash_mg, mg0, solve_poisson
 from .mgnet_model import (MgNetConfig, MgNetWeights, classify, count_params,
-                          init_weights, mgnet_forward, v_mgnet_forward)
+                          init_weights, mgnet_forward)
 from .equivalence_lab import (EquivalenceReport, verify, verify_all)
 from .training import TrainConfig, evaluate, finite_diff_check, train
 from .data_io import (LabeledImage, gen_synthetic, load_checkpoint,

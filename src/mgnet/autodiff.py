@@ -302,16 +302,6 @@ def batchnorm_inference(x, gamma, beta, running_mean, running_var, eps: float = 
     return add(mul(sub(x, running_mean), mul(gamma, inv)), beta)
 
 
-def nodal_prolongate(x, mode):
-    """Differentiable coarse-to-fine nodal interpolation (adjoint = restriction)."""
-    from .grid_transfer import prolongate, restrict_kr
-
-    def forward(xd):
-        out = prolongate(np.asarray(xd), mode)
-        return out, lambda g: (restrict_kr(g, mode),)
-    return _emit((x,), forward, op="nodal_prolongate")
-
-
 def softmax_vector(v):
     """Differentiable softmax of a small weight vector."""
     def forward(vd):

@@ -22,7 +22,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, value
 from .tensor_core import ContractViolation, ConvKernel, PaddingMode, softmax
-from .grid_transfer import ProlongationMode
 
 SMOOTHING_VARIANTS = ("single", "multi", "chebyshev")
 EXTRACTOR_STRATEGIES = ("variable", "constant", "scaled")
@@ -56,6 +55,9 @@ class MgNetConfig:
             raise ContractViolation(f"smoothing counts must be >= 0, got {self.nu}")
         if self.c_u < 1 or self.c_f < 1:
             raise ContractViolation("channel counts must be positive")
+        if not (np.isfinite(self.kernel_half_width) and self.kernel_half_width >= 0):
+            raise ContractViolation(
+                f"kernel_half_width must be >= 0, got {self.kernel_half_width}")
         for name, val, allowed in (
                 ("smoothing_variant", self.smoothing_variant, SMOOTHING_VARIANTS),
                 ("extractor_strategy", self.extractor_strategy, EXTRACTOR_STRATEGIES),
@@ -195,25 +197,12 @@ def _conv_init(rng, name, shape):
     return rng.normal(0.0, np.sqrt(gain / fan_in), size=shape)
 
 
-def init_weights(cfg: MgNetConfig, seed: int = 0, nu_up=None) -> MgNetWeights:
-    """Gaussian fan-in initialization for convolutions, zero biases.
-
-    `nu_up` adds the up-sweep extractor kernels used by the V variant.
-    """
+def init_weights(cfg: MgNetConfig, seed: int = 0) -> MgNetWeights:
+    """Gaussian fan-in initialization for convolutions, zero biases."""
     rng = np.random.default_rng(seed)
-    shapes = dict(parameter_shapes(cfg))
-    if nu_up is not None:
-        nu_up = tuple(int(v) for v in nu_up)
-        if len(nu_up) != cfg.J:
-            raise ContractViolation(f"nu_up must have J={cfg.J} entries")
-        kk = 2 * cfg.kernel_half_width + 1
-        for l in range(1, cfg.J):
-            for i in range(1, nu_up[l - 1] + 1):
-                shapes[f"level{l}/up_extract{i}/weights"] = (kk, kk, cfg.c_u, cfg.c_f)
-                shapes[f"level{l}/up_extract{i}/bias"] = (cfg.c_u,)
     params: dict[str, Parameter] = {}
     buffers: dict[str, np.ndarray] = {}
-    for name, shape in shapes.items():
+    for name, shape in parameter_shapes(cfg).items():
         if name.endswith("/weights") and len(shape) == 4:
             data = _conv_init(rng, name, shape)
         elif name == "head/weights":
@@ -245,12 +234,6 @@ class MgNetTrace:
 
     f_levels: list = field(default_factory=list)   # f^l (None once data stops)
     u_iterates: list = field(default_factory=list)  # [u^{l,0}, ..., u^{l,nu_l}]
-
-    def initial_features(self, level: int):
-        return self.u_iterates[level - 1][0]
-
-    def final_features(self, level: int):
-        return self.u_iterates[level - 1][-1]
 
 
 def _spatial(x) -> tuple:
@@ -423,39 +406,3 @@ def classify(u_final, weights: MgNetWeights) -> np.ndarray:
     """Class probabilities from final features: (classes,) per image, (b, classes) per batch."""
     return softmax(value(logits(u_final, weights)))
 
-
-def v_mgnet_forward(f, cfg: MgNetConfig, weights: MgNetWeights, nu_up,
-                    prolong="bilinear", training: bool = False):
-    """Down sweep plus coarse-to-fine corrections and up-smoothings.
-
-    `prolong` is "bilinear", "linear" (nodal interpolation per channel, which
-    needs odd 2M-1 grid chains) or "zero".  Up-extractors must have been
-    created by init_weights(..., nu_up=...).
-    """
-    nu_up = tuple(int(v) for v in nu_up)
-    if len(nu_up) != cfg.J:
-        raise ContractViolation(f"nu_up must have J={cfg.J} entries")
-    ops = KernelOperators(weights, training)
-    u_bar, trace = mgnet_forward(f, cfg, weights, training)
-    u = u_bar
-    for l in range(cfg.J - 1, 0, -1):
-        bar_l = trace.final_features(l)
-        bar_next0 = trace.initial_features(l + 1)
-        if prolong == "zero":
-            u = bar_l
-        else:
-            mode = (ProlongationMode.BILINEAR if prolong == "bilinear"
-                    else ProlongationMode.LINEAR)
-            fine = ad.nodal_prolongate(ad.sub(u, bar_next0), mode)
-            exp_shape = value(bar_l).shape
-            if value(fine).shape != exp_shape:
-                raise ContractViolation(
-                    f"level {l}: prolongated correction shape {value(fine).shape} does "
-                    f"not match fine grid {exp_shape}; nodal interpolation needs odd grids")
-            u = bar_l + fine
-        f_l = trace.f_levels[l - 1]
-        for i in range(1, nu_up[l - 1] + 1):
-            kern = weights.kernel(f"level{l}/up_extract{i}")
-            r = f_l - ops.data_map(l, u)
-            u = u + ad.relu(ad.conv2d(ad.relu(r), kern, 1, PaddingMode.ZERO))
-    return u

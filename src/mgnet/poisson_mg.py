@@ -6,6 +6,12 @@ is the constant 5-point stencil; coarse fields are the Galerkin triple
 products R A P with R = P^T, probed through the transfers themselves.
 Smoothing is damped Jacobi scaled by the centre tap of each level's own
 field, so the smoother needs no second per-level representation.
+
+The backslash cycle smooths every level but the coarsest, which it solves
+exactly with a dense inverse assembled once per hierarchy from that level's
+field; this makes the cycle's convergence factor independent of depth.  The
+coarsest grid is therefore capped at ``COARSEST_MAX_SIZE`` per side (33x33:
+1,089 unknowns, a 9.5 MB inverse).
 """
 
 from __future__ import annotations
@@ -20,6 +26,9 @@ from .tensor_core import ContractViolation, PaddingMode, _pad, _windows
 POISSON_STENCIL = np.array([[0.0, -1.0, 0.0],
                             [-1.0, 4.0, -1.0],
                             [0.0, -1.0, 0.0]])
+
+# largest coarsest-grid side the hierarchy inverts densely
+COARSEST_MAX_SIZE = 33
 
 
 @dataclass
@@ -62,7 +71,8 @@ class PoissonHierarchy:
     """Grids, grid transfers and one Galerkin stencil field per level.
 
     ``sizes[l - 1]`` is the level-l grid (m_l, n_l) of the nodal chain
-    m -> (m+1)/2 -> ..., which needs an odd size >= 3 at every level.
+    m -> (m+1)/2 -> ..., which needs an odd size >= 3 at every level and a
+    coarsest grid of at most ``COARSEST_MAX_SIZE`` per side.
     """
 
     def __init__(self, m: int, n: int | None = None, levels: int = 2,
@@ -78,11 +88,19 @@ class PoissonHierarchy:
                     f"level size {cm}x{cn} is not odd and >= 3")
             sizes.append((cm, cn))
             cm, cn = (cm + 1) // 2, (cn + 1) // 2
+        if max(sizes[-1]) > COARSEST_MAX_SIZE:
+            depth, side = levels, max(sizes[-1])
+            while side > COARSEST_MAX_SIZE:
+                depth, side = depth + 1, (side + 1) // 2
+            raise ContractViolation(
+                f"coarsest grid {sizes[-1][0]}x{sizes[-1][1]} of {m}x{n} at depth {levels} "
+                f"exceeds {COARSEST_MAX_SIZE}x{COARSEST_MAX_SIZE}; use at least {depth} levels")
         self.sizes = tuple(sizes)
         self.mode = mode
         self._ops = [StencilOperator(1, np.broadcast_to(POISSON_STENCIL, (m, n, 3, 3)))]
         for l in range(1, levels):
             self._ops.append(self._galerkin(l))
+        self._coarse_inverse = np.linalg.inv(self._assemble(levels))
 
     def _galerkin(self, level: int) -> StencilOperator:
         """R A^l P, probed with the 9 colour vectors ``e[a::3, b::3] = 1``.
@@ -125,12 +143,9 @@ class PoissonHierarchy:
         """Transfer to the next-coarser grid with the fixed 3x3 kernel (= P^T)."""
         return restrict_kr(fine[:, :, None], self.mode)[:, :, 0]
 
-    def direct_solve(self, f: np.ndarray) -> np.ndarray:
-        """Dense solve on the finest grid, used as the reference solution.
-
-        The (mn, mn) matrix is assembled from the level-1 field on each call.
-        """
-        op = self._ops[0]
+    def _assemble(self, level: int) -> np.ndarray:
+        """The level-l field as a dense (m_l n_l, m_l n_l) matrix."""
+        op = self.operator(level)
         m, n = op.shape
         rows = np.arange(m * n).reshape(m, n)
         cols = np.pad(rows, 1, constant_values=-1)[None, :, :, None]
@@ -139,13 +154,30 @@ class PoissonHierarchy:
             col = win[0, :, :, 0]
             inside = col >= 0
             a[rows[inside], col[inside]] = op.coef[:, :, p, q][inside]
-        return np.linalg.solve(a, np.asarray(f, dtype=float).ravel()).reshape(m, n)
+        return a
+
+    def coarse_solve(self, f: np.ndarray) -> np.ndarray:
+        """Exact solve on the coarsest grid with the inverse built at construction."""
+        f = self.operator(self.levels)._checked(f)
+        return (self._coarse_inverse @ f.ravel()).reshape(f.shape)
+
+    def direct_solve(self, f: np.ndarray) -> np.ndarray:
+        """Dense solve on the finest grid, used as the reference solution.
+
+        The (mn, mn) matrix is assembled from the level-1 field on each call.
+        """
+        f = self.operator(1)._checked(f)
+        return np.linalg.solve(self._assemble(1), f.ravel()).reshape(f.shape)
+
+
+def _check_omega(omega: float) -> None:
+    if not 0.0 < omega < 2.0:
+        raise ContractViolation(f"omega must lie in (0, 2), got {omega}")
 
 
 def smooth(r: np.ndarray, op: StencilOperator, omega: float) -> np.ndarray:
     """Damped Jacobi correction omega D^-1 r, D the diagonal of the level's field."""
-    if not 0.0 < omega < 2.0:
-        raise ContractViolation(f"omega must lie in (0, 2), got {omega}")
+    _check_omega(omega)
     return omega * op._checked(r) / op.coef[:, :, 1, 1]
 
 
@@ -175,7 +207,8 @@ def mg0(f, levels: int, nu, omega: float = 0.8,
         hierarchy: PoissonHierarchy | None = None) -> MgTrace:
     """Fine-to-coarse sweep: nu_l smoothings per level, then residual restriction.
 
-    Starts every level from a zero guess; returns the full iterate history.
+    Starts every level from a zero guess, whose residual is f_l itself, so the
+    first smoothing applies no operator; returns the full iterate history.
     """
     f = _as_grid(f)
     if len(nu) != levels:
@@ -189,8 +222,11 @@ def mg0(f, levels: int, nu, omega: float = 0.8,
     for l in range(1, levels + 1):
         u = np.zeros_like(f_l)
         iterates = [u]
-        for _ in range(nu[l - 1]):
-            u = u + smooth(f_l - hierarchy.apply(u, l), hierarchy.operator(l), omega)
+        r = f_l  # A 0 = +0.0, so this equals f_l - A u bitwise
+        for step in range(nu[l - 1]):
+            if step:
+                r = f_l - hierarchy.apply(u, l)
+            u = u + smooth(r, hierarchy.operator(l), omega)
             iterates.append(u)
         trace.f_levels.append(f_l)
         trace.u_iterates.append(iterates)
@@ -199,14 +235,25 @@ def mg0(f, levels: int, nu, omega: float = 0.8,
     return trace
 
 
+def _checked_hierarchy(f, levels: int, hierarchy: PoissonHierarchy | None) -> PoissonHierarchy:
+    if hierarchy is None:
+        return PoissonHierarchy(f.shape[0], f.shape[1], levels)
+    if hierarchy.levels != levels:
+        # the coarse inverse belongs to the hierarchy's own coarsest level
+        raise ContractViolation(
+            f"hierarchy has {hierarchy.levels} levels, the cycle asks for {levels}")
+    return hierarchy
+
+
 def backslash_mg(f, levels: int, nu, omega: float = 0.8,
                  hierarchy: PoissonHierarchy | None = None) -> np.ndarray:
-    """One backslash cycle: the mg0 sweep plus coarse-to-fine corrections."""
+    """One backslash cycle: the mg0 sweep with the coarsest level solved exactly
+    instead of smoothed, then coarse-to-fine corrections."""
     f = _as_grid(f)
-    if hierarchy is None:
-        hierarchy = PoissonHierarchy(f.shape[0], f.shape[1], levels)
-    trace = mg0(f, levels, nu, omega, hierarchy)
+    hierarchy = _checked_hierarchy(f, levels, hierarchy)
+    trace = mg0(f, levels, list(nu)[:-1] + [0], omega, hierarchy)
     u = trace.solutions
+    u[-1] = hierarchy.coarse_solve(trace.f_levels[-1])
     for l in range(levels - 1, 0, -1):
         u[l - 1] = u[l - 1] + hierarchy.prolong(u[l], l)
     return u[0]
@@ -222,22 +269,30 @@ class SolveResult:
 
 def solve_poisson(f, levels: int, nu=None, omega: float = 0.8, cycles: int = 50,
                   rtol: float = 1e-10, hierarchy: PoissonHierarchy | None = None) -> SolveResult:
-    """Iterate u <- u + MG(f - A u) until the residual drops by `rtol`."""
+    """Iterate u <- u + MG(f - A u) until the residual drops by `rtol`.
+
+    The residual that ends one cycle starts the next; the first is f itself.
+    """
     f = _as_grid(f)
     if cycles < 1:
         raise ContractViolation(f"cycles must be >= 1, got {cycles}")
+    if not (np.isfinite(rtol) and 0.0 <= rtol < 1.0):
+        raise ContractViolation(f"rtol must be finite and lie in [0, 1), got {rtol}")
+    _check_omega(omega)  # a 1-level solve never smooths
     nu = [2] * levels if nu is None else list(nu)
-    if hierarchy is None:
-        hierarchy = PoissonHierarchy(f.shape[0], f.shape[1], levels)
+    if not all(np.isfinite(v) and v >= 1 for v in nu):
+        raise ContractViolation(f"every level needs at least one smoothing, got nu={nu}")
+    hierarchy = _checked_hierarchy(f, levels, hierarchy)
     u = np.zeros_like(f)
     f_norm = float(np.linalg.norm(f))
     history = []
     if f_norm == 0.0:
         return SolveResult(u, [0.0], 0, True)
+    r = f
     for cycle in range(1, cycles + 1):
-        r = f - hierarchy.apply(u, 1)
         u = u + backslash_mg(r, levels, nu, omega, hierarchy)
-        res = float(np.linalg.norm(f - hierarchy.apply(u, 1)))
+        r = f - hierarchy.apply(u, 1)
+        res = float(np.linalg.norm(r))
         history.append(res)
         if res <= rtol * f_norm:
             return SolveResult(u, history, cycle, True)

@@ -25,8 +25,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ContractViolation("learning rate must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ContractViolation(
+                f"learning rate must be positive and finite, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ContractViolation("momentum must lie in [0, 1)")
         if self.batch_size < 1:

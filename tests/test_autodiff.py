@@ -3,7 +3,6 @@ import pytest
 
 from mgnet import autodiff as ad
 from mgnet.autodiff import Node, Parameter, Tape, backward, value
-from mgnet.grid_transfer import ProlongationMode, prolongate
 from mgnet.tensor_core import ContractViolation, ConvKernel, PaddingMode
 
 
@@ -187,21 +186,6 @@ class TestGradientsAgainstFiniteDifferences:
             return ad.softmax_cross_entropy(picked, np.array([1.0, 0.0]))
 
         check_param(build, v)
-
-    def test_nodal_prolongate(self, rng):
-        x = Parameter("x", rng.standard_normal((4, 4, 2)))
-        probe = rng.standard_normal(2)
-
-        def build():
-            fine = ad.nodal_prolongate(x, ProlongationMode.BILINEAR)
-            return ad.softmax_cross_entropy(ad.mul(ad.spatial_mean(fine), probe),
-                                            np.array([1.0, 0.0]))
-
-        check_param(build, x)
-        # forward agrees with the plain operator
-        np.testing.assert_array_equal(
-            value(ad.nodal_prolongate(x, ProlongationMode.LINEAR)),
-            prolongate(x.data, ProlongationMode.LINEAR))
 
     def test_broadcast_add_mul(self, rng):
         a = Parameter("a", rng.standard_normal((1, 4)))

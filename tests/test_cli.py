@@ -60,14 +60,32 @@ class TestSolvePoissonCommand:
         assert "did not converge after 1 cycles" in capsys.readouterr().err
 
     def test_above_65_skips_direct_comparison(self, tmp_path, capsys):
-        # the backslash cycle reduces the residual by about 0.86 per cycle here
+        # with the exact coarse solve this converges in under 30 cycles
         out = tmp_path / "results.json"
         assert run_cli(["solve-poisson", "--size", "129", "--levels", "5",
-                        "--cycles", "200", "--out", str(out)]) == 0
+                        "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["converged"] is True
         assert payload["relative_error_vs_direct"] is None
         assert "direct-solve comparison skipped" in capsys.readouterr().out
+
+    def test_records_convergence_factor(self, tmp_path, capsys):
+        out = tmp_path / "results.json"
+        assert run_cli(["solve-poisson", "--size", "33", "--levels", "4",
+                        "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        f = np.random.default_rng(0).standard_normal((33, 33))
+        final = payload["residual_history"][-1] / np.linalg.norm(f)
+        assert payload["convergence_factor"] == pytest.approx(
+            final ** (1.0 / payload["cycles_run"]), rel=1e-12)
+        assert 0.0 < payload["convergence_factor"] < 0.6
+        assert f"convergence factor {payload['convergence_factor']:.3f}" in \
+            capsys.readouterr().out
+
+    def test_too_shallow_hierarchy_is_usage_error(self, tmp_path, capsys):
+        assert run_cli(["solve-poisson", "--size", "129", "--levels", "2",
+                        "--out", str(tmp_path / "r.json")]) == 2
+        assert "at least 3 levels" in capsys.readouterr().err
 
     def test_six_levels_at_65_converge(self, tmp_path):
         # coarse boundary diagonals reach 23.4 here; Jacobi weighted by
@@ -97,6 +115,21 @@ class TestUsage:
 
     def test_unknown_command_is_usage_error(self):
         assert run_cli(["transmogrify"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["solve-poisson", "--nu", "0", "--out", "{tmp}/r.json"],
+        ["solve-poisson", "--nu", "-1", "--out", "{tmp}/r.json"],
+        ["solve-poisson", "--rtol", "nan", "--out", "{tmp}/r.json"],
+        ["solve-poisson", "--rtol", "1.5", "--out", "{tmp}/r.json"],
+        ["count-params", "--model", "mgnet", "--config", "{tmp}/cfg.json"],
+        ["train", "--lr", "nan", "--out", "{tmp}/run"],
+    ], ids=["nu-zero", "nu-negative", "rtol-nan", "rtol-above-one", "negative-half-width",
+            "lr-nan"])
+    def test_bad_value_is_usage_error(self, tmp_path, capsys, argv):
+        (tmp_path / "cfg.json").write_text(
+            json.dumps({"J": 2, "nu": [1, 1], "kernel_half_width": -1}))
+        assert run_cli([a.format(tmp=tmp_path) for a in argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestCountParams:

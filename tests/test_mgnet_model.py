@@ -6,8 +6,8 @@ import pytest
 from mgnet.autodiff import value
 from mgnet.mgnet_model import (MgNetConfig, classify, count_params, f_in,
                                init_weights, mgnet_forward, parameter_shapes,
-                               run_smoothing_sweep, v_mgnet_forward)
-from mgnet.tensor_core import ContractViolation, ConvKernel, PaddingMode, conv2d, relu
+                               run_smoothing_sweep)
+from mgnet.tensor_core import ContractViolation, ConvKernel, PaddingMode, conv2d
 
 
 def small_config(**overrides):
@@ -274,56 +274,6 @@ class TestParameterCounting:
         cfg = small_config(J=3, nu=(2, 2, 0), use_batchnorm=True, pi_variant="pi2")
         w = init_weights(cfg, seed=0)
         assert count_params(cfg) == sum(p.data.size for p in w.params.values())
-
-
-class TestVMgNet:
-    def test_zero_correction_returns_down_sweep(self, rng):
-        cfg = small_config(J=2, nu=(1, 1), c_u=3, c_f=3)
-        w = init_weights(cfg, seed=5, nu_up=(0, 0))
-        x = rng.standard_normal((9, 9, 1))
-        _, trace = mgnet_forward(x, cfg, w)
-        out = v_mgnet_forward(x, cfg, w, (0, 0), prolong="zero")
-        np.testing.assert_array_equal(np.asarray(value(out)),
-                                      np.asarray(value(trace.u_iterates[0][-1])))
-
-    def test_zero_weights_give_zero_output(self, rng):
-        cfg = small_config(J=2, nu=(1, 1), c_u=3, c_f=3)
-        w = init_weights(cfg, seed=5, nu_up=(1, 0))
-        for p in w.params.values():
-            p.data = np.zeros_like(p.data)
-        out = v_mgnet_forward(rng.standard_normal((9, 9, 1)), cfg, w, (1, 0))
-        assert (np.asarray(value(out)) == 0).all()
-
-    def test_matches_hand_unrolled_reference(self, rng):
-        cfg = small_config(J=2, nu=(1, 1), c_u=3, c_f=3)
-        w = init_weights(cfg, seed=9, nu_up=(1, 0))
-        for name, p in w.params.items():
-            if name.endswith("/bias"):
-                p.data = 0.2 * rng.standard_normal(p.data.shape)
-        x = rng.standard_normal((9, 9, 1))
-        out = v_mgnet_forward(x, cfg, w, (1, 0), prolong="bilinear")
-
-        # unrolled transcription with plain operations
-        from mgnet.grid_transfer import ProlongationMode, prolongate
-        c = lambda t, kern, s=1: conv2d(np.asarray(t), kern, s, PaddingMode.ZERO)
-        f1 = relu(c(x, w.kernel("theta0")))
-        u10 = np.zeros((9, 9, 3))
-        b = lambda kern, r: relu(c(relu(r), kern))
-        u11 = u10 + b(w.kernel("level1/extract1"), f1 - c(u10, w.kernel("level1/data_map")))
-        u20 = c(u11, w.kernel("level1/pi"), 2)
-        f2 = (c(f1 - c(u11, w.kernel("level1/data_map")), w.kernel("level1/restrict"), 2)
-              + c(u20, w.kernel("level2/data_map")))
-        u21 = u20 + b(w.kernel("level2/extract1"), f2 - c(u20, w.kernel("level2/data_map")))
-        u_corr = u11 + prolongate(u21 - u20, ProlongationMode.BILINEAR)
-        u_final = u_corr + b(w.kernel("level1/up_extract1"),
-                             f1 - c(u_corr, w.kernel("level1/data_map")))
-        np.testing.assert_allclose(np.asarray(value(out)), u_final, atol=1e-12)
-
-    def test_wrong_nu_up_length(self, rng):
-        cfg = small_config(J=2, nu=(1, 1))
-        w = init_weights(cfg, seed=0, nu_up=(1, 0))
-        with pytest.raises(ContractViolation):
-            v_mgnet_forward(rng.standard_normal((9, 9, 1)), cfg, w, (1,))
 
 
 class TestStateDict:

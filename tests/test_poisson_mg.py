@@ -56,6 +56,12 @@ class TestNodalChain:
         with pytest.raises(ContractViolation, match="at least one level"):
             PoissonHierarchy(9, 9, 0)
 
+    def test_coarsest_grid_is_capped(self):
+        # 129 -> 65 leaves a 65x65 coarsest grid, too large to invert densely
+        with pytest.raises(ContractViolation, match="at least 3 levels"):
+            PoissonHierarchy(129, 129, 2)
+        assert PoissonHierarchy(129, 129, 3).sizes[-1] == (33, 33)
+
 
 class TestStencilOperator:
     def test_ones_pattern(self):
@@ -110,6 +116,8 @@ class TestJacobiSmoother:
         f = np.ones((9, 9))
         with pytest.raises(ContractViolation):
             solve_poisson(f, 2, omega=omega)
+        with pytest.raises(ContractViolation):
+            solve_poisson(f, 1, omega=omega)
         with pytest.raises(ContractViolation):
             mg0(f, 2, [1, 1], omega)
 
@@ -178,9 +186,16 @@ class TestMatrixFree:
         assert sum(a.nbytes for a in arrays) < 10e6
 
     def test_converges_at_129(self, rng):
-        # about 0.86 residual reduction per cycle: 100-125 cycles to 1e-10
-        result = solve_poisson(rng.standard_normal((129, 129)), 5, cycles=200)
-        assert result.converged
+        # the exact coarse solve gives about 0.44 residual reduction per cycle
+        result = solve_poisson(rng.standard_normal((129, 129)), 5)
+        assert result.converged and result.cycles <= 30
+
+    @pytest.mark.parametrize("size,levels", [(129, 4), (257, 6)])
+    def test_cycle_count_independent_of_depth(self, rng, size, levels):
+        # coarsest grids 17x17 and 9x9: a smoothed coarsest level needs
+        # 100-200 cycles here, an exact one as few as at full depth
+        result = solve_poisson(rng.standard_normal((size, size)), levels)
+        assert result.converged and result.cycles <= 30
 
     @pytest.mark.parametrize("size,levels", [(65, 6), (129, 6), (129, 7), (257, 8)])
     def test_deep_hierarchy_converges(self, rng, size, levels):
@@ -251,6 +266,27 @@ class TestBackslashCycle:
     def test_zero_rhs(self):
         out = backslash_mg(np.zeros((9, 9)), 2, [2, 2])
         assert (out == 0).all()
+
+    def test_one_level_is_the_direct_solve(self, rng):
+        h = PoissonHierarchy(17, 17, 1)
+        f = rng.standard_normal((17, 17))
+        np.testing.assert_allclose(backslash_mg(f, 1, [2], 0.8, h), h.direct_solve(f),
+                                   rtol=0.0, atol=1e-12)
+
+    def test_deeper_hierarchy_rejected(self):
+        # its coarse inverse belongs to level 3, not to the cycle's level 2
+        h = PoissonHierarchy(17, 17, 3)
+        f = np.ones((17, 17))
+        with pytest.raises(ContractViolation, match="3 levels"):
+            backslash_mg(f, 2, [2, 2], 0.8, h)
+        with pytest.raises(ContractViolation, match="3 levels"):
+            solve_poisson(f, 2, hierarchy=h)
+
+    def test_last_residual_is_the_final_iterate_residual(self, rng):
+        h = PoissonHierarchy(33, 33, 4)
+        f = rng.standard_normal((33, 33))
+        result = solve_poisson(f, 4, hierarchy=h)
+        assert result.residual_norms[-1] == np.linalg.norm(f - h.apply(result.u, 1))
 
     def test_single_cycle_reduces_residual(self, rng):
         size = 17
