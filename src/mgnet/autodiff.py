@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor_core import (ContractViolation, _conv_forward, _conv_grad_input,
+from .tensor_core import (ContractViolation, PaddingMode, _conv_forward, _conv_grad_input,
                           _conv_grad_weights, _max_forward, _max_grad_input, _with_batch,
                           softmax)
 
@@ -190,25 +190,23 @@ def relu(x):
     return _emit((x,), forward, op="relu")
 
 
-def conv2d(x, kernel, stride: int = 1, padding=None):
+def conv2d(x, kernel, stride: int = 1, padding: PaddingMode = PaddingMode.ZERO):
     """Differentiable counterpart of tensor_core.conv2d; accepts a batch axis."""
-    from .tensor_core import PaddingMode
     if stride < 1:
         raise ContractViolation(f"stride must be >= 1, got {stride}")
-    mode = PaddingMode.ZERO if padding is None else padding
 
     def forward(xd, wd, bd):
         xb, squeeze = _with_batch(np.asarray(xd))
         if xb.shape[-1] != wd.shape[3]:
             raise ContractViolation(
                 f"input has {xb.shape[-1]} channels but kernel expects {wd.shape[3]}")
-        out = _conv_forward(xb, wd, bd, stride, mode)
+        out = _conv_forward(xb, wd, bd, stride, padding)
         k = (wd.shape[0] - 1) // 2
 
         def vjp(g):
             gb = g[None] if squeeze else g
-            gx = _conv_grad_input(gb, wd, xb.shape, stride, mode)
-            gw = _conv_grad_weights(xb, gb, k, stride, mode)
+            gx = _conv_grad_input(gb, wd, xb.shape, stride, padding)
+            gw = _conv_grad_weights(xb, gb, k, stride, padding)
             gbias = gb.sum(axis=(0, 1, 2))
             return (gx[0] if squeeze else gx), gw, gbias
 
@@ -233,14 +231,6 @@ def max_pool(x, k: int = 1, stride: int = 2):
         return (out[0] if squeeze else out), vjp
 
     return _emit((x,), forward, op="max_pool")
-
-
-def mean_all(x):
-    """Scalar mean over every entry."""
-    def forward(xd):
-        xd = np.asarray(xd)
-        return xd.mean(), lambda g: (np.broadcast_to(g / xd.size, xd.shape).copy(),)
-    return _emit((x,), forward, op="mean_all")
 
 
 def spatial_mean(x):
@@ -273,14 +263,17 @@ def affine(x, w, b):
     return _emit((x, w, b), forward, op="affine")
 
 
-def batchnorm(x, gamma, beta, eps: float = 1e-5):
+BN_EPS = 1e-5
+
+
+def batchnorm(x, gamma, beta):
     """Normalize over all non-channel axes with batch statistics."""
     def forward(xd, gd, bd):
         xd = np.asarray(xd)
         axes = tuple(range(xd.ndim - 1))
         mu = xd.mean(axis=axes)
         var = xd.var(axis=axes)
-        inv = 1.0 / np.sqrt(var + eps)
+        inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (xd - mu) * inv
         out = gd * xhat + bd
         count = xd.size // xd.shape[-1]
@@ -296,9 +289,9 @@ def batchnorm(x, gamma, beta, eps: float = 1e-5):
     return _emit((x, gamma, beta), forward, op="batchnorm")
 
 
-def batchnorm_inference(x, gamma, beta, running_mean, running_var, eps: float = 1e-5):
+def batchnorm_inference(x, gamma, beta, running_mean, running_var):
     """Affine normalization with frozen statistics (evaluation mode)."""
-    inv = 1.0 / np.sqrt(running_var + eps)
+    inv = 1.0 / np.sqrt(running_var + BN_EPS)
     return add(mul(sub(x, running_mean), mul(gamma, inv)), beta)
 
 

@@ -8,10 +8,12 @@ verifiers run side by side.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .tensor_core import (ContractViolation, ConvKernel, PaddingMode, Tensor,
-                          conv2d, relu)
+                          _check_count, conv2d, relu)
 
 
 def _conv(f, kern: ConvKernel) -> Tensor:
@@ -64,6 +66,7 @@ def resnet_parameter_shapes(depth: int, classes: int = 10) -> dict:
     """
     if depth not in _RESNET_BLOCKS:
         raise ContractViolation(f"supported depths: {sorted(_RESNET_BLOCKS)}, got {depth}")
+    _check_count("classes", classes, 2)
     shapes: dict[str, tuple] = {}
 
     def bn(prefix, c):
@@ -90,4 +93,4 @@ def resnet_parameter_shapes(depth: int, classes: int = 10) -> dict:
 
 
 def resnet_param_count(depth: int, classes: int = 10) -> int:
-    return int(sum(int(np.prod(s)) for s in resnet_parameter_shapes(depth, classes).values()))
+    return sum(math.prod(s) for s in resnet_parameter_shapes(depth, classes).values())

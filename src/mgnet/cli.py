@@ -8,6 +8,7 @@ can be parsed back by the same toolkit.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -56,6 +57,8 @@ def _load_dataset(spec: str, fmt: str, synthetic_classes: int, seed: int):
     items = []
     for f in files:
         items.extend(loader(f))
+    if not items:
+        raise data_io.FormatError(f"{path}: no CIFAR records")
     return items
 
 
@@ -113,13 +116,19 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = MgNetConfig.from_json(args.config) if args.config else MgNetConfig(
-        J=3, nu=(2, 2, 2), c_u=16, c_f=16, pi_variant="pi1", use_batchnorm=True,
-        in_channels=1, classes=args.synthetic_classes)
+    cfg = MgNetConfig.from_json(args.config) if args.config else None
     tcfg = TrainConfig(learning_rate=args.lr, momentum=args.momentum,
                        batch_size=args.batch_size, epochs=args.epochs,
                        seed=args.seed)
-    dataset = _load_dataset(args.data, args.data_format, cfg.classes, args.seed)
+    synthetic_classes = cfg.classes if cfg else args.synthetic_classes
+    dataset = _load_dataset(args.data, args.data_format, synthetic_classes, args.seed)
+    if cfg is None:
+        # the default toy model, shaped by the data it is to train on
+        classes = (args.synthetic_classes if args.data == "synthetic"
+                   else {"cifar10": 10, "cifar100": 100}[args.data_format])
+        cfg = MgNetConfig(J=3, nu=(2, 2, 2), c_u=16, c_f=16, pi_variant="pi1",
+                          use_batchnorm=True, in_channels=dataset[0].image.shape[-1],
+                          classes=classes)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.json").write_text(json.dumps(cfg.to_dict(), indent=2))
@@ -159,19 +168,28 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_count_params(args) -> int:
+    classes = 10 if args.classes is None else args.classes
     if args.model in ("resnet18", "resnet34"):
-        n = resnet_param_count(int(args.model[-2:]), args.classes)
+        n = resnet_param_count(int(args.model[-2:]), classes)
     elif args.model in TABLE_PRESETS:
-        n = count_params(table_preset(args.model, args.classes))
+        n = count_params(table_preset(args.model, classes))
     elif args.model == "mgnet":
         if not args.config:
             raise ContractViolation("--model mgnet needs --config with the model JSON")
         cfg = MgNetConfig.from_json(args.config)
-        n = count_params(cfg)
+        classes = cfg.classes if args.classes is None else args.classes
+        n = count_params(dataclasses.replace(cfg, classes=classes))
     else:
         raise ContractViolation(f"unknown model {args.model!r}")
-    print(json.dumps({"model": args.model, "classes": args.classes, "params": n}))
+    print(json.dumps({"model": args.model, "classes": classes, "params": n}))
     return 0
+
+
+def _seed(text: str) -> int:
+    """Type of every --seed: numpy's generators take only non-negative integers."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,14 +206,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=float, default=0.8)
     p.add_argument("--cycles", type=int, default=50)
     p.add_argument("--rtol", type=float, default=1e-10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="results.json")
     p.set_defaults(func=_cmd_solve_poisson)
 
     p = sub.add_parser("verify", help="certify the equivalence identities")
     p.add_argument("--theorem", choices=("all",) + equivalence_lab.THEOREM_IDS,
                    default="all")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="report.json")
     p.set_defaults(func=_cmd_verify)
 
@@ -209,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
@@ -218,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
                                     "to the checkpoint)")
     p.add_argument("--data", default="synthetic")
     p.add_argument("--data-format", choices=("cifar10", "cifar100"), default="cifar10")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_seed, default=1)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("count-params", help="count trainable parameters")
@@ -226,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="resnet18 | resnet34 | mgnet (with --config) | "
                         + " | ".join(TABLE_PRESETS))
     p.add_argument("--config", help="model config JSON for --model mgnet")
-    p.add_argument("--classes", type=int, default=10)
+    p.add_argument("--classes", type=int,
+                   help="number of classes (default: 10, or the config's for --model mgnet)")
     p.set_defaults(func=_cmd_count_params)
     return parser
 

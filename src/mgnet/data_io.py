@@ -63,12 +63,11 @@ def load_cifar100(path) -> list:
         return _parse_cifar(fh.read(), path, label_bytes=2, classes=100)
 
 
-def gen_synthetic(classes: int, per_class: int, size: int = 16, seed: int = 0,
-                  noise: float = 0.1) -> list:
+def gen_synthetic(classes: int, per_class: int, size: int = 16, seed: int = 0) -> list:
     """Class-conditional blob images: class k is a Gaussian bump at a
     class-specific location (widths also cycle per class so the task stays
-    separable after heavy spatial pooling).  Deterministic per seed; pixel
-    values are clipped to [0, 1].
+    separable after heavy spatial pooling) plus pixel noise of standard
+    deviation 0.1.  Deterministic per seed; pixel values are clipped to [0, 1].
     """
     if classes < 2:
         raise ContractViolation(f"need at least 2 classes, got {classes}")
@@ -84,7 +83,7 @@ def gen_synthetic(classes: int, per_class: int, size: int = 16, seed: int = 0,
         d2 = (ii - centers[k, 0]) ** 2 + (jj - centers[k, 1]) ** 2
         blob = 0.9 * np.exp(-d2 / (2.0 * widths[k] ** 2))
         for _ in range(per_class):
-            pixels = blob + noise * rng.standard_normal((size, size))
+            pixels = blob + 0.1 * rng.standard_normal((size, size))
             images.append(LabeledImage(np.clip(pixels, 0.0, 1.0)[:, :, None], k))
     return images
 

@@ -29,8 +29,8 @@ class EquivalenceReport:
     instances_tested: int
     seed: int
 
-    def passed(self, tolerance: float = SUITE_TOLERANCE) -> bool:
-        return self.max_abs_discrepancy < tolerance
+    def passed(self) -> bool:
+        return self.max_abs_discrepancy < SUITE_TOLERANCE
 
     def to_dict(self) -> dict:
         return {"theorem_id": self.theorem_id,

@@ -76,13 +76,3 @@ def prolongation_matrix(m: int, n: int, mode: ProlongationMode) -> np.ndarray:
         e.flat[j] = 1.0
         cols.append(prolongate(e, mode)[:, :, 0].ravel())
     return np.stack(cols, axis=1)
-
-
-def restriction_matrix(m: int, n: int, mode: ProlongationMode) -> np.ndarray:
-    """Dense (ceil(m/2)*ceil(n/2), m*n) matrix of `restrict_kr` on flattened grids."""
-    cols = []
-    for j in range(m * n):
-        e = np.zeros((m, n, 1))
-        e.flat[j] = 1.0
-        cols.append(restrict_kr(e, mode)[:, :, 0].ravel())
-    return np.stack(cols, axis=1)

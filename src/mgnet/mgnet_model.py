@@ -15,13 +15,14 @@ Weights live in a flat ``name -> Parameter`` map (shapes from
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, value
-from .tensor_core import ContractViolation, ConvKernel, PaddingMode, softmax
+from .tensor_core import ContractViolation, ConvKernel, PaddingMode, _check_count, softmax
 
 SMOOTHING_VARIANTS = ("single", "multi", "chebyshev")
 EXTRACTOR_STRATEGIES = ("variable", "constant", "scaled")
@@ -48,16 +49,18 @@ class MgNetConfig:
     shared_data_map: bool = False
 
     def __post_init__(self):
+        for name, minimum in (("J", 1), ("c_u", 1), ("c_f", 1), ("in_channels", 1),
+                              ("classes", 2), ("kernel_half_width", 0)):
+            _check_count(name, getattr(self, name), minimum)
+        for v in self.nu:
+            _check_count("each smoothing count in nu", v, 0)
         self.nu = tuple(int(v) for v in self.nu)
         if len(self.nu) != self.J:
             raise ContractViolation(f"nu must have J={self.J} entries, got {len(self.nu)}")
-        if any(v < 0 for v in self.nu):
-            raise ContractViolation(f"smoothing counts must be >= 0, got {self.nu}")
-        if self.c_u < 1 or self.c_f < 1:
-            raise ContractViolation("channel counts must be positive")
-        if not (np.isfinite(self.kernel_half_width) and self.kernel_half_width >= 0):
-            raise ContractViolation(
-                f"kernel_half_width must be >= 0, got {self.kernel_half_width}")
+        for name in ("use_batchnorm", "shared_data_map"):
+            flag = getattr(self, name)
+            if not isinstance(flag, bool):
+                raise ContractViolation(f"{name} must be true or false, got {flag!r}")
         for name, val, allowed in (
                 ("smoothing_variant", self.smoothing_variant, SMOOTHING_VARIANTS),
                 ("extractor_strategy", self.extractor_strategy, EXTRACTOR_STRATEGIES),
@@ -145,7 +148,7 @@ def parameter_shapes(cfg: MgNetConfig) -> dict:
 
 def count_params(cfg: MgNetConfig) -> int:
     """Exact number of trainable scalars for a configuration."""
-    return int(sum(int(np.prod(s)) for s in parameter_shapes(cfg).values()))
+    return sum(math.prod(s) for s in parameter_shapes(cfg).values())
 
 
 @dataclass
@@ -265,7 +268,7 @@ def run_smoothing_sweep(f1, nu, ops, variant: str = "single"):
                 alpha = ops.alpha(l, i)
                 acc = None
                 for j, u_j in enumerate(history):
-                    term = ad.mul(_pick(alpha, j),
+                    term = ad.mul(ad.vector_index(alpha, j),
                                   u_j + ops.extract(l, i, f_l - ops.data_map(l, u_j)))
                     acc = term if acc is None else acc + term
                 u = acc
@@ -289,12 +292,6 @@ def run_smoothing_sweep(f1, nu, ops, variant: str = "single"):
                 f_l = None
             u = u_next
     return u, trace
-
-
-def _pick(alpha, j: int):
-    if isinstance(alpha, ad.Node):
-        return ad.vector_index(alpha, j)
-    return np.asarray(alpha)[j]
 
 
 class KernelOperators:
@@ -342,7 +339,7 @@ class KernelOperators:
         h = self.apply_bn(site, h)
         h = ad.relu(h)
         if self.cfg.extractor_strategy == "scaled":
-            h = ad.mul(_pick(self.w.params[f"level{level}/scale"], i - 1), h)
+            h = ad.mul(ad.vector_index(self.w.params[f"level{level}/scale"], i - 1), h)
         return h
 
     def restrict(self, level: int, x):
@@ -375,12 +372,10 @@ class KernelOperators:
         return self.w.params[f"level{level}/step{i}/omega"]
 
 
-def f_in(f, variant: str, theta0: ConvKernel, bn=None):
-    """Initial data transform: conv (+BN) + relu, optionally stride-2 max pool."""
+def f_in(f, variant: str, theta0: ConvKernel, bn):
+    """Initial data transform: conv, `bn`, relu, optionally stride-2 max pool."""
     h = ad.conv2d(f, theta0, 1, PaddingMode.ZERO)
-    if bn is not None:
-        h = bn(h)
-    h = ad.relu(h)
+    h = ad.relu(bn(h))
     if variant == "conv_relu_maxpool":
         h = ad.max_pool(h, 1, 2)
     return h

@@ -8,15 +8,16 @@ Smoothing is damped Jacobi scaled by the centre tap of each level's own
 field, so the smoother needs no second per-level representation.
 
 The backslash cycle smooths every level but the coarsest, which it solves
-exactly with a dense inverse assembled once per hierarchy from that level's
-field; this makes the cycle's convergence factor independent of depth.  The
-coarsest grid is therefore capped at ``COARSEST_MAX_SIZE`` per side (33x33:
-1,089 unknowns, a 9.5 MB inverse).
+exactly with a dense inverse, assembled from that level's field on the
+hierarchy's first coarse solve; this makes the cycle's convergence factor
+independent of depth.  The coarsest grid is therefore capped at
+``COARSEST_MAX_SIZE`` per side (33x33: 1,089 unknowns, a 9.5 MB inverse).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -72,12 +73,11 @@ class PoissonHierarchy:
 
     ``sizes[l - 1]`` is the level-l grid (m_l, n_l) of the nodal chain
     m -> (m+1)/2 -> ..., which needs an odd size >= 3 at every level and a
-    coarsest grid of at most ``COARSEST_MAX_SIZE`` per side.
+    coarsest grid of at most ``COARSEST_MAX_SIZE`` per side.  The transfers
+    are the LINEAR nodal interpolation and its transpose.
     """
 
-    def __init__(self, m: int, n: int | None = None, levels: int = 2,
-                 mode: ProlongationMode = ProlongationMode.LINEAR):
-        n = m if n is None else n
+    def __init__(self, m: int, n: int, levels: int):
         if levels < 1:
             raise ContractViolation(f"hierarchy needs at least one level, got {levels}")
         sizes, cm, cn = [], m, n
@@ -96,11 +96,9 @@ class PoissonHierarchy:
                 f"coarsest grid {sizes[-1][0]}x{sizes[-1][1]} of {m}x{n} at depth {levels} "
                 f"exceeds {COARSEST_MAX_SIZE}x{COARSEST_MAX_SIZE}; use at least {depth} levels")
         self.sizes = tuple(sizes)
-        self.mode = mode
         self._ops = [StencilOperator(1, np.broadcast_to(POISSON_STENCIL, (m, n, 3, 3)))]
         for l in range(1, levels):
             self._ops.append(self._galerkin(l))
-        self._coarse_inverse = np.linalg.inv(self._assemble(levels))
 
     def _galerkin(self, level: int) -> StencilOperator:
         """R A^l P, probed with the 9 colour vectors ``e[a::3, b::3] = 1``.
@@ -116,7 +114,7 @@ class PoissonHierarchy:
             for b in range(3):
                 e = np.zeros((cm, cn))
                 e[a::3, b::3] = 1.0
-                probes[a, b] = self.restrict(self.apply(self.prolong(e, level), level))
+                probes[a, b] = self.restrict(self.apply(self.prolong(e), level))
         i = np.arange(cm)[:, None, None, None]
         j = np.arange(cn)[None, :, None, None]
         p, q = np.arange(3)[:, None], np.arange(3)
@@ -135,13 +133,13 @@ class PoissonHierarchy:
         """A^l u for the level-l grid."""
         return self.operator(level).apply(u)
 
-    def prolong(self, coarse: np.ndarray, level: int) -> np.ndarray:
+    def prolong(self, coarse: np.ndarray) -> np.ndarray:
         """Transfer level l+1 values to level l by nodal interpolation."""
-        return prolongate(coarse[:, :, None], self.mode)[:, :, 0]
+        return prolongate(coarse[:, :, None], ProlongationMode.LINEAR)[:, :, 0]
 
     def restrict(self, fine: np.ndarray) -> np.ndarray:
         """Transfer to the next-coarser grid with the fixed 3x3 kernel (= P^T)."""
-        return restrict_kr(fine[:, :, None], self.mode)[:, :, 0]
+        return restrict_kr(fine[:, :, None], ProlongationMode.LINEAR)[:, :, 0]
 
     def _assemble(self, level: int) -> np.ndarray:
         """The level-l field as a dense (m_l n_l, m_l n_l) matrix."""
@@ -156,8 +154,12 @@ class PoissonHierarchy:
             a[rows[inside], col[inside]] = op.coef[:, :, p, q][inside]
         return a
 
+    @cached_property
+    def _coarse_inverse(self) -> np.ndarray:
+        return np.linalg.inv(self._assemble(self.levels))
+
     def coarse_solve(self, f: np.ndarray) -> np.ndarray:
-        """Exact solve on the coarsest grid with the inverse built at construction."""
+        """Exact solve on the coarsest grid; the first call builds the dense inverse."""
         f = self.operator(self.levels)._checked(f)
         return (self._coarse_inverse @ f.ravel()).reshape(f.shape)
 
@@ -196,11 +198,20 @@ class MgTrace:
 
 def _as_grid(f) -> np.ndarray:
     f = np.asarray(f, dtype=float)
-    if f.ndim == 3 and f.shape[2] == 1:
-        f = f[:, :, 0]
     if f.ndim != 2:
-        raise ContractViolation(f"expected a single-channel grid, got shape {f.shape}")
+        raise ContractViolation(f"expected an (m, n) grid, got shape {f.shape}")
     return f
+
+
+def _checked_hierarchy(f, levels: int, hierarchy: PoissonHierarchy | None) -> PoissonHierarchy:
+    if hierarchy is None:
+        return PoissonHierarchy(f.shape[0], f.shape[1], levels)
+    # exact depth: the coarse inverse belongs to the hierarchy's own coarsest level
+    if hierarchy.sizes[0] != f.shape or hierarchy.levels != levels:
+        raise ContractViolation(
+            f"hierarchy of {hierarchy.levels} levels on {hierarchy.sizes[0]} does not fit "
+            f"{levels} levels on a {f.shape} right-hand side")
+    return hierarchy
 
 
 def mg0(f, levels: int, nu, omega: float = 0.8,
@@ -213,10 +224,7 @@ def mg0(f, levels: int, nu, omega: float = 0.8,
     f = _as_grid(f)
     if len(nu) != levels:
         raise ContractViolation(f"nu must have {levels} entries, got {len(nu)}")
-    if hierarchy is None:
-        hierarchy = PoissonHierarchy(f.shape[0], f.shape[1], levels)
-    if hierarchy.sizes[0] != f.shape or hierarchy.levels < levels:
-        raise ContractViolation("hierarchy does not match the right-hand side")
+    hierarchy = _checked_hierarchy(f, levels, hierarchy)
     trace = MgTrace()
     f_l = f
     for l in range(1, levels + 1):
@@ -235,16 +243,6 @@ def mg0(f, levels: int, nu, omega: float = 0.8,
     return trace
 
 
-def _checked_hierarchy(f, levels: int, hierarchy: PoissonHierarchy | None) -> PoissonHierarchy:
-    if hierarchy is None:
-        return PoissonHierarchy(f.shape[0], f.shape[1], levels)
-    if hierarchy.levels != levels:
-        # the coarse inverse belongs to the hierarchy's own coarsest level
-        raise ContractViolation(
-            f"hierarchy has {hierarchy.levels} levels, the cycle asks for {levels}")
-    return hierarchy
-
-
 def backslash_mg(f, levels: int, nu, omega: float = 0.8,
                  hierarchy: PoissonHierarchy | None = None) -> np.ndarray:
     """One backslash cycle: the mg0 sweep with the coarsest level solved exactly
@@ -255,7 +253,7 @@ def backslash_mg(f, levels: int, nu, omega: float = 0.8,
     u = trace.solutions
     u[-1] = hierarchy.coarse_solve(trace.f_levels[-1])
     for l in range(levels - 1, 0, -1):
-        u[l - 1] = u[l - 1] + hierarchy.prolong(u[l], l)
+        u[l - 1] = u[l - 1] + hierarchy.prolong(u[l])
     return u[0]
 
 

@@ -16,6 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,12 @@ Tensor = np.ndarray
 
 class ContractViolation(ValueError):
     """An operation was called with inputs that break its contract."""
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    """Reject a count that is not an integer (a bool or a float is not) or is below `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ContractViolation(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 class PaddingMode(enum.Enum):
@@ -67,14 +74,6 @@ class ConvKernel:
         n = 2 * k + 1
         return cls(np.zeros((n, n, out_channels, in_channels), dtype=np.float64),
                    np.zeros(out_channels, dtype=np.float64))
-
-    @classmethod
-    def identity(cls, channels: int, k: int = 1) -> "ConvKernel":
-        """Center-tap kernel mapping each channel to itself."""
-        kern = cls.zeros(k, channels, channels)
-        for c in range(channels):
-            kern.weights[k, k, c, c] = 1.0
-        return kern
 
     @classmethod
     def from_matrix(cls, matrix, channels: int = 1) -> "ConvKernel":

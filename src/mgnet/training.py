@@ -64,6 +64,10 @@ def _stack_batch(items):
 
 
 def _one_hot(labels, classes: int) -> np.ndarray:
+    outside = labels[(labels < 0) | (labels >= classes)]
+    if outside.size:
+        raise ContractViolation(
+            f"label {outside[0]} is outside [0, {classes}) of a {classes}-class model")
     out = np.zeros((len(labels), classes))
     out[np.arange(len(labels)), labels] = 1.0
     return out
@@ -95,7 +99,7 @@ class TrainResult:
     weights: MgNetWeights | None = None
 
 
-def train(cfg: MgNetConfig, tcfg: TrainConfig, dataset, eval_dataset=None,
+def train(cfg: MgNetConfig, tcfg: TrainConfig, dataset,
           weights: MgNetWeights | None = None, on_epoch=None) -> TrainResult:
     """Per-epoch shuffled mini-batch SGD with momentum; deterministic per seed.
 
@@ -133,10 +137,6 @@ def train(cfg: MgNetConfig, tcfg: TrainConfig, dataset, eval_dataset=None,
                  "lr": lr,
                  "loss": epoch_loss / len(dataset),
                  "accuracy": epoch_correct / len(dataset)}
-        if eval_dataset is not None:
-            test_loss, test_acc = evaluate(cfg, weights, eval_dataset)
-            entry["test_loss"] = test_loss
-            entry["test_accuracy"] = test_acc
         result.history.append(entry)
         if on_epoch is not None:
             on_epoch(entry)

@@ -1,4 +1,4 @@
-"""Shared test helpers: independent brute-force references.
+"""Shared test helpers: independent brute-force references and test-only ops.
 
 The reference convolution below is a literal transcription of the sliding
 window sum with explicit boundary handling, kept loop-based on purpose so it
@@ -8,7 +8,43 @@ stays independent of the vectorized implementation it checks.
 import numpy as np
 import pytest
 
+from mgnet import autodiff as ad
+from mgnet.grid_transfer import ProlongationMode, restrict_kr
 from mgnet.tensor_core import ConvKernel, PaddingMode
+
+
+def identity_kernel(channels: int) -> ConvKernel:
+    """3x3 centre-tap kernel mapping each channel to itself."""
+    return ConvKernel.from_matrix(np.pad([[1.0]], 1), channels)
+
+
+def mean_all(x):
+    """Differentiable scalar mean over every entry, a probe loss for gradient tests."""
+    def forward(xd):
+        xd = np.asarray(xd)
+        return xd.mean(), lambda g: (np.broadcast_to(g / xd.size, xd.shape).copy(),)
+    return ad._emit((x,), forward, op="mean_all")
+
+
+def cifar_file(path, labels, label_bytes=1):
+    """Write a CIFAR binary batch, one random-pixel record per label (label bytes repeat it)."""
+    rng = np.random.default_rng(0)
+    payload = bytearray()
+    for label in labels:
+        payload.extend(bytes([label]) * label_bytes)
+        payload.extend(rng.integers(0, 256, size=3072, dtype=np.uint8).tobytes())
+    path.write_bytes(bytes(payload))
+    return path
+
+
+def restriction_matrix(m: int, n: int, mode: ProlongationMode) -> np.ndarray:
+    """Dense (ceil(m/2)*ceil(n/2), m*n) matrix of `restrict_kr` on flattened grids."""
+    cols = []
+    for j in range(m * n):
+        e = np.zeros((m, n, 1))
+        e.flat[j] = 1.0
+        cols.append(restrict_kr(e, mode)[:, :, 0].ravel())
+    return np.stack(cols, axis=1)
 
 
 def reference_conv2d(x, kernel: ConvKernel, stride: int, mode: PaddingMode):

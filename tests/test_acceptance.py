@@ -11,11 +11,12 @@ from mgnet.classic_models import resnet_param_count
 from mgnet.cli import table_preset
 from mgnet.data_io import gen_synthetic, load_cifar10, save_checkpoint, load_checkpoint
 from mgnet.equivalence_lab import verify_all
-from mgnet.grid_transfer import (ProlongationMode, prolongation_matrix,
-                                 restriction_kernel, restriction_matrix)
+from mgnet.grid_transfer import ProlongationMode, prolongation_matrix, restriction_kernel
 from mgnet.mgnet_model import MgNetConfig, count_params, init_weights, mgnet_forward
 from mgnet.poisson_mg import PoissonHierarchy, smooth, solve_poisson
-from mgnet.training import TrainConfig, finite_diff_check, train
+from mgnet.training import TrainConfig, evaluate, finite_diff_check, train
+
+from conftest import restriction_matrix
 
 
 def verdict(number, passed, detail):
@@ -140,14 +141,16 @@ def test_criterion_6_toy_training():
                       use_batchnorm=True, in_channels=1, classes=2)
     tcfg = TrainConfig(learning_rate=0.1, momentum=0.9, batch_size=32,
                        epochs=20, seed=0)
-    result = train(cfg, tcfg, train_set, eval_dataset=test_set)
-    best = max(h["test_accuracy"] for h in result.history)
+    weights = init_weights(cfg, seed=tcfg.seed)
+    test_accuracy = []
+    result = train(cfg, tcfg, train_set, weights=weights,
+                   on_epoch=lambda _: test_accuracy.append(evaluate(cfg, weights, test_set)[1]))
+    best = max(test_accuracy)
     elapsed = time.time() - start
 
     # determinism: a re-run of the first epochs reproduces the history exactly
     prefix = train(cfg, TrainConfig(learning_rate=0.1, momentum=0.9,
-                                    batch_size=32, epochs=2, seed=0),
-                   train_set, eval_dataset=test_set)
+                                    batch_size=32, epochs=2, seed=0), train_set)
     deterministic = all(prefix.history[i] == result.history[i] for i in range(2))
 
     ok = best >= 0.95 and elapsed < 300.0 and deterministic

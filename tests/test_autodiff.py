@@ -5,6 +5,8 @@ from mgnet import autodiff as ad
 from mgnet.autodiff import Node, Parameter, Tape, backward, value
 from mgnet.tensor_core import ContractViolation, ConvKernel, PaddingMode
 
+from conftest import identity_kernel, mean_all
+
 
 def numeric_grad(loss_fn, param, h=1e-6):
     """Plain central differences over every entry of `param`."""
@@ -38,7 +40,7 @@ class TestBasics:
     def test_relu_subgradient(self):
         p = Parameter("p", np.array([-1.0, 0.0, 2.0]))
         with Tape() as tape:
-            loss = ad.mean_all(ad.mul(ad.relu(p), 3.0))  # sum of rectified entries
+            loss = mean_all(ad.mul(ad.relu(p), 3.0))  # sum of rectified entries
         g = backward(tape, loss)["p"]
         # derivative is 0 at -1, 0 at the kink (subgradient choice), 1 at 2
         np.testing.assert_array_equal(g, [0.0, 0.0, 1.0])
@@ -85,7 +87,7 @@ class TestGradientsAgainstFiniteDifferences:
 
         def build():
             out = ad.conv2d(x, ConvKernel(w, b), 1, mode)
-            return ad.mean_all(ad.mul(out, out))
+            return mean_all(ad.mul(out, out))
 
         with Tape() as tape:
             loss = build()
@@ -129,7 +131,7 @@ class TestGradientsAgainstFiniteDifferences:
         # tap in row-major order
         x = Parameter("x", np.full((7, 6, 2), 1.5))
         probe = rng.standard_normal((4, 3, 2))
-        grad = analytic_grads(lambda: ad.mean_all(ad.mul(ad.max_pool(x, 1, 2), probe)))["x"]
+        grad = analytic_grads(lambda: mean_all(ad.mul(ad.max_pool(x, 1, 2), probe)))["x"]
         want = np.zeros_like(x.data)
         for i in range(4):
             for j in range(3):
@@ -140,7 +142,7 @@ class TestGradientsAgainstFiniteDifferences:
     def test_bad_stride_raises(self, rng, stride):
         x = rng.standard_normal((5, 5, 1))
         with pytest.raises(ContractViolation):
-            ad.conv2d(x, ConvKernel.identity(1), stride)
+            ad.conv2d(x, identity_kernel(1), stride)
         with pytest.raises(ContractViolation):
             ad.max_pool(x, 1, stride)
 
@@ -148,7 +150,7 @@ class TestGradientsAgainstFiniteDifferences:
     def test_bad_rank_raises(self, rng, shape):
         x = rng.standard_normal(shape)
         with pytest.raises(ContractViolation):
-            ad.conv2d(x, ConvKernel.identity(1), 1)
+            ad.conv2d(x, identity_kernel(1), 1)
         with pytest.raises(ContractViolation):
             ad.max_pool(x, 1, 2)
 

@@ -7,6 +7,8 @@ from mgnet.classic_models import (classic_cnn_step, iresnet_block, negated,
 from mgnet.tensor_core import (ContractViolation, ConvKernel, PaddingMode,
                                conv2d, relu)
 
+from conftest import identity_kernel
+
 
 def rand_kernel(rng, channels, scale=0.4, cin=None):
     cin = channels if cin is None else cin
@@ -96,7 +98,7 @@ class TestBlocks:
 class TestClassicCnnStep:
     def test_identity_post_activation_on_nonnegative(self, rng):
         f = np.abs(rng.standard_normal((5, 5, 2)))
-        out = classic_cnn_step(f, ConvKernel.identity(2), "post")
+        out = classic_cnn_step(f, identity_kernel(2), "post")
         np.testing.assert_array_equal(out, f)
 
     def test_zero_kernel_pre_order_broadcasts_bias(self, rng):
@@ -117,7 +119,7 @@ class TestClassicCnnStep:
 
     def test_unknown_order_raises(self, rng):
         with pytest.raises(ContractViolation):
-            classic_cnn_step(rng.standard_normal((4, 4, 2)), ConvKernel.identity(2),
+            classic_cnn_step(rng.standard_normal((4, 4, 2)), identity_kernel(2),
                              "sideways")
 
 
@@ -144,3 +146,8 @@ class TestResNetLayouts:
     def test_unsupported_depth_raises(self):
         with pytest.raises(ContractViolation):
             resnet_parameter_shapes(50, 10)
+
+    @pytest.mark.parametrize("classes", [-5, 1, 10.0, True])
+    def test_classes_enforced(self, classes):
+        with pytest.raises(ContractViolation, match="classes"):
+            resnet_parameter_shapes(18, classes)

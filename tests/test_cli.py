@@ -9,6 +9,10 @@ import pytest
 
 import mgnet
 from mgnet.cli import run_cli, table_preset
+from mgnet.data_io import save_checkpoint
+from mgnet.mgnet_model import MgNetConfig, count_params, init_weights
+
+from conftest import cifar_file
 
 
 class TestVerifyCommand:
@@ -116,6 +120,13 @@ class TestUsage:
     def test_unknown_command_is_usage_error(self):
         assert run_cli(["transmogrify"]) == 2
 
+    @pytest.mark.parametrize("command", [["verify", "--theorem", "mg0"], ["solve-poisson"],
+                                         ["train"], ["eval", "--checkpoint", "model.mgnet"]],
+                             ids=lambda c: c[0])
+    def test_negative_seed_is_usage_error(self, capsys, command):
+        assert run_cli(command + ["--seed", "-1"]) == 2
+        assert "error: argument --seed: must be a non-negative integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["solve-poisson", "--nu", "0", "--out", "{tmp}/r.json"],
         ["solve-poisson", "--nu", "-1", "--out", "{tmp}/r.json"],
@@ -123,8 +134,9 @@ class TestUsage:
         ["solve-poisson", "--rtol", "1.5", "--out", "{tmp}/r.json"],
         ["count-params", "--model", "mgnet", "--config", "{tmp}/cfg.json"],
         ["train", "--lr", "nan", "--out", "{tmp}/run"],
+        ["count-params", "--model", "resnet18", "--classes", "-5"],
     ], ids=["nu-zero", "nu-negative", "rtol-nan", "rtol-above-one", "negative-half-width",
-            "lr-nan"])
+            "lr-nan", "resnet-negative-classes"])
     def test_bad_value_is_usage_error(self, tmp_path, capsys, argv):
         (tmp_path / "cfg.json").write_text(
             json.dumps({"J": 2, "nu": [1, 1], "kernel_half_width": -1}))
@@ -156,15 +168,31 @@ class TestCountParams:
     def test_mgnet_requires_config(self, capsys):
         assert run_cli(["count-params", "--model", "mgnet"]) == 2
 
-    @pytest.mark.parametrize("text", ['{"J": 2, "nu": [1, 1], "bogus": 1}',
-                                      '{"J": 2, "nu": 3}', '[1, 2]', '{bad json'],
-                             ids=["unknown-key", "scalar-nu", "list", "malformed"])
+    @pytest.mark.parametrize("text", [
+        '{"J": 2, "nu": [1, 1], "bogus": 1}', '{"J": 2, "nu": 3}', '[1, 2]', '{bad json',
+        '{"c_u": 2.5}', '{"J": 2, "nu": [1.7, 1]}', '{"kernel_half_width": 1.5}',
+        '{"use_batchnorm": "no"}', '{"J": 0, "nu": []}', '{"in_channels": 0}',
+        '{"classes": -3}', '{"c_u": NaN}', '{"c_f": 1e400}',
+    ], ids=["unknown-key", "scalar-nu", "list", "malformed", "float-channels", "float-nu",
+            "float-half-width", "string-flag", "no-levels", "no-input-channels",
+            "negative-classes", "nan-channels", "infinite-channels"])
     def test_bad_config_file_is_usage_error(self, tmp_path, capsys, text):
         path = tmp_path / "cfg.json"
         path.write_text(text)
         assert run_cli(["count-params", "--model", "mgnet", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
+
+    def test_classes_counted_as_printed(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"J": 2, "nu": [1, 1], "classes": 3}))
+        for argv, classes in ((["--classes", "100"], 100), ([], 3)):
+            assert run_cli(["count-params", "--model", "mgnet", "--config", str(path)]
+                           + argv) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["classes"] == classes
+            assert payload["params"] == count_params(MgNetConfig(J=2, nu=(1, 1),
+                                                                 classes=classes))
 
     def test_mgnet_with_config_file(self, tmp_path, capsys):
         cfg = table_preset("mgnet-2-256-256-pi0")
@@ -231,14 +259,7 @@ class TestTrainEvalCommands:
         assert run_cli(["eval", "--checkpoint", str(ckpt)]) == 2
 
     def test_train_on_cifar_file(self, tmp_path, capsys):
-        # one constructed 20-record binary batch
-        payload = bytearray()
-        rng = np.random.default_rng(0)
-        for i in range(20):
-            payload.append(i % 2)
-            payload.extend(rng.integers(0, 256, size=3072, dtype=np.uint8).tobytes())
-        data_path = tmp_path / "data_batch.bin"
-        data_path.write_bytes(bytes(payload))
+        data_path = cifar_file(tmp_path / "data_batch.bin", [i % 2 for i in range(20)])
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
             "J": 2, "nu": [1, 1], "c_u": 3, "c_f": 3, "pi_variant": "pi0",
@@ -250,3 +271,40 @@ class TestTrainEvalCommands:
                         "--out", str(tmp_path / "run"), "--epochs", "1",
                         "--batch-size", "10", "--lr", "0.01"])
         assert code == 0
+
+    @pytest.mark.parametrize("fmt,label_bytes,classes", [("cifar10", 1, 10),
+                                                         ("cifar100", 2, 100)])
+    def test_default_model_follows_cifar_data(self, tmp_path, fmt, label_bytes, classes):
+        data_path = cifar_file(tmp_path / "data_batch.bin",
+                               [(7 * i) % classes for i in range(20)], label_bytes)
+        run_dir = tmp_path / "run"
+        assert run_cli(["train", "--data", str(data_path), "--data-format", fmt,
+                        "--out", str(run_dir), "--epochs", "1", "--batch-size", "20"]) == 0
+        cfg = json.loads((run_dir / "config.json").read_text())
+        assert (cfg["in_channels"], cfg["classes"]) == (3, classes)
+
+    def test_labels_beyond_the_model_classes_are_input_errors(self, tmp_path, capsys):
+        data_path = cifar_file(tmp_path / "data_batch.bin", [5] * 4)
+        cfg = MgNetConfig(J=2, nu=(1, 1), c_u=4, c_f=4, in_channels=3, classes=2)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        ckpt = tmp_path / "model.mgnet"
+        save_checkpoint(ckpt, init_weights(cfg).state_dict())
+        for argv in (["train", "--config", str(cfg_path), "--out", str(tmp_path / "run"),
+                      "--epochs", "1"],
+                     ["eval", "--checkpoint", str(ckpt), "--config", str(cfg_path)]):
+            assert run_cli(argv + ["--data", str(data_path)]) == 2
+            assert "error: label 5 is outside [0, 2)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_empty_data_file_is_input_error(self, tmp_path, capsys, command):
+        data_path = tmp_path / "empty.bin"
+        data_path.write_bytes(b"")
+        cfg = MgNetConfig(J=2, nu=(1, 1), c_u=4, c_f=4, in_channels=3, classes=10)
+        (tmp_path / "config.json").write_text(json.dumps(cfg.to_dict()))
+        ckpt = tmp_path / "checkpoint.mgnet"
+        save_checkpoint(ckpt, init_weights(cfg).state_dict())
+        argv = {"train": ["train", "--out", str(tmp_path / "run")],
+                "eval": ["eval", "--checkpoint", str(ckpt)]}[command]
+        assert run_cli(argv + ["--data", str(data_path)]) == 2
+        assert "no CIFAR records" in capsys.readouterr().err

@@ -9,6 +9,8 @@ from mgnet.equivalence_lab import (SUITE_TOLERANCE, EquivalenceReport,
 from mgnet.classic_models import classic_cnn_step, sigma_resnet_step
 from mgnet.tensor_core import ConvKernel, PaddingMode, conv2d, relu
 
+from conftest import identity_kernel
+
 
 class TestMg0Equivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -74,7 +76,7 @@ class TestCnnEmbedding:
 
     def test_identity_network_reduces_to_repeated_relu(self, rng):
         channels = 3
-        chi = ConvKernel.identity(channels)
+        chi = identity_kernel(channels)
         delta_hat = pair_negating_kernel(channels)
         eta = doubled_extractor(chi)
         f = rng.standard_normal((5, 5, channels))

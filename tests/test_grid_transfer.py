@@ -3,8 +3,10 @@ import pytest
 
 from mgnet.grid_transfer import (ProlongationMode, RESTRICT_BILINEAR, RESTRICT_LINEAR,
                                  prolongate, prolongation_matrix, restrict_kr,
-                                 restriction_kernel, restriction_matrix)
+                                 restriction_kernel)
 from mgnet.tensor_core import ConvKernel, PaddingMode, conv2d
+
+from conftest import restriction_matrix
 
 MODES = list(ProlongationMode)
 

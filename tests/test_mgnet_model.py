@@ -9,6 +9,12 @@ from mgnet.mgnet_model import (MgNetConfig, classify, count_params, f_in,
                                run_smoothing_sweep)
 from mgnet.tensor_core import ContractViolation, ConvKernel, PaddingMode, conv2d
 
+from conftest import identity_kernel
+
+
+def no_bn(h):
+    return h
+
 
 def small_config(**overrides):
     base = dict(J=2, nu=(2, 2), c_u=4, c_f=4, pi_variant="pi1",
@@ -28,6 +34,20 @@ class TestConfig:
             small_config(pi_variant="pi9")
         with pytest.raises(ContractViolation):
             small_config(smoothing_variant="fancy")
+
+    @pytest.mark.parametrize("field,value", [
+        ("J", 0), ("c_u", 2.5), ("c_u", float("nan")), ("c_f", float("inf")), ("c_f", True),
+        ("in_channels", 0), ("classes", 1), ("classes", -3), ("kernel_half_width", 1.5),
+        ("nu", (1.7, 1)), ("nu", (-1, 1)), ("nu", "11"), ("use_batchnorm", "no"),
+        ("shared_data_map", 1),
+    ])
+    def test_field_types_and_ranges_enforced(self, field, value):
+        with pytest.raises(ContractViolation, match=field if field != "nu" else "smoothing count"):
+            small_config(**{field: value})
+
+    def test_numpy_integers_are_counts(self):
+        cfg = small_config(c_u=np.int64(4), nu=(np.int64(2), 2))
+        assert cfg.nu == (2, 2) and count_params(cfg) == count_params(small_config())
 
     def test_json_roundtrip(self, tmp_path):
         cfg = small_config(pi_variant="pi2", use_batchnorm=True)
@@ -102,8 +122,8 @@ class TestForward:
         x = rng.standard_normal((8, 8, 1))
         theta0 = w.kernel("theta0")
         lam = 3.7
-        np.testing.assert_allclose(f_in(lam * x, "conv_relu", theta0),
-                                   lam * f_in(x, "conv_relu", theta0),
+        np.testing.assert_allclose(f_in(lam * x, "conv_relu", theta0, no_bn),
+                                   lam * f_in(x, "conv_relu", theta0, no_bn),
                                    rtol=1e-12, atol=1e-12)
 
     def test_grid_mismatch_names_level(self, rng):
@@ -224,12 +244,12 @@ class TestHeadAndInit:
 
     def test_f_in_variants(self, rng):
         x = rng.random((8, 8, 1))  # non-negative
-        ident = ConvKernel.identity(1)
-        np.testing.assert_array_equal(f_in(x, "conv_relu", ident), x)
-        pooled = f_in(x, "conv_relu_maxpool", ident)
+        ident = identity_kernel(1)
+        np.testing.assert_array_equal(f_in(x, "conv_relu", ident, no_bn), x)
+        pooled = f_in(x, "conv_relu_maxpool", ident, no_bn)
         assert np.asarray(value(pooled)).shape == (4, 4, 1)
         neg = -np.abs(rng.standard_normal((5, 5, 1)))
-        assert (np.asarray(f_in(neg, "conv_relu", ident)) == 0).all()
+        assert (np.asarray(f_in(neg, "conv_relu", ident, no_bn)) == 0).all()
 
     def test_head_site_produces_vector(self, rng):
         cfg = MgNetConfig(J=3, nu=(1, 1, 0), c_u=4, c_f=4, pi_variant="pi1",

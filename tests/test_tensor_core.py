@@ -5,7 +5,7 @@ from mgnet.tensor_core import (ContractViolation, ConvKernel, PaddingMode,
                                conv2d, relu, softmax)
 from mgnet.poisson_mg import POISSON_STENCIL
 
-from conftest import reference_conv2d
+from conftest import identity_kernel, reference_conv2d
 
 ALL_MODES = list(PaddingMode)
 
@@ -13,17 +13,17 @@ ALL_MODES = list(PaddingMode)
 class TestConv2d:
     def test_identity_kernel_is_identity(self, rng):
         x = rng.standard_normal((5, 5, 1))
-        out = conv2d(x, ConvKernel.identity(1), 1, PaddingMode.ZERO)
+        out = conv2d(x, identity_kernel(1), 1, PaddingMode.ZERO)
         np.testing.assert_array_equal(out, x)
 
     def test_identity_kernel_multichannel(self, rng):
         x = rng.standard_normal((6, 4, 3))
-        out = conv2d(x, ConvKernel.identity(3), 1, PaddingMode.PERIODIC)
+        out = conv2d(x, identity_kernel(3), 1, PaddingMode.PERIODIC)
         np.testing.assert_allclose(out, x, rtol=0, atol=0)
 
     def test_stride_output_size_ceil(self, rng):
         x = rng.standard_normal((5, 5, 1))
-        out = conv2d(x, ConvKernel.identity(1), 2, PaddingMode.ZERO)
+        out = conv2d(x, identity_kernel(1), 2, PaddingMode.ZERO)
         assert out.shape == (3, 3, 1)
 
     @pytest.mark.parametrize("m,n,s", [(5, 5, 2), (7, 4, 3), (9, 6, 2), (5, 5, 1)])
@@ -91,16 +91,16 @@ class TestConv2d:
     def test_channel_mismatch_raises(self, rng):
         x = rng.standard_normal((5, 5, 2))
         with pytest.raises(ContractViolation):
-            conv2d(x, ConvKernel.identity(3), 1, PaddingMode.ZERO)
+            conv2d(x, identity_kernel(3), 1, PaddingMode.ZERO)
 
     def test_empty_input_raises(self):
         with pytest.raises(ContractViolation):
-            conv2d(np.zeros((0, 5, 1)), ConvKernel.identity(1), 1, PaddingMode.ZERO)
+            conv2d(np.zeros((0, 5, 1)), identity_kernel(1), 1, PaddingMode.ZERO)
 
     def test_bad_stride_raises(self, rng):
         x = rng.standard_normal((5, 5, 1))
         with pytest.raises(ContractViolation):
-            conv2d(x, ConvKernel.identity(1), 0, PaddingMode.ZERO)
+            conv2d(x, identity_kernel(1), 0, PaddingMode.ZERO)
 
 
 class TestRelu:
