@@ -191,9 +191,13 @@ def relu(x):
 
 
 def conv2d(x, kernel, stride: int = 1, padding: PaddingMode = PaddingMode.ZERO):
-    """Differentiable counterpart of tensor_core.conv2d; accepts a batch axis."""
+    """Differentiable counterpart of tensor_core.conv2d; accepts a batch axis.
+
+    An input that is not a traced node (the images) gets no gradient.
+    """
     if stride < 1:
         raise ContractViolation(f"stride must be >= 1, got {stride}")
+    traced_input = isinstance(x, Node)
 
     def forward(xd, wd, bd):
         xb, squeeze = _with_batch(np.asarray(xd))
@@ -205,14 +209,35 @@ def conv2d(x, kernel, stride: int = 1, padding: PaddingMode = PaddingMode.ZERO):
 
         def vjp(g):
             gb = g[None] if squeeze else g
-            gx = _conv_grad_input(gb, wd, xb.shape, stride, padding)
+            gx = None
+            if traced_input:
+                gx = _conv_grad_input(gb, wd, xb.shape, stride, padding)
+                gx = gx[0] if squeeze else gx
             gw = _conv_grad_weights(xb, gb, k, stride, padding)
             gbias = gb.sum(axis=(0, 1, 2))
-            return (gx[0] if squeeze else gx), gw, gbias
+            return gx, gw, gbias
 
         return (out[0] if squeeze else out), vjp
 
     return _emit((x, kernel.weights, kernel.bias), forward, op="conv2d")
+
+
+def conv2d_of_zeros(shape, kernel):
+    """`conv2d` of all-zero stride-1 input of `shape`: the bias at every position.
+
+    The weights stay an input (with a zero gradient), so a kernel seen only
+    here still registers all its parameters on the tape.
+    """
+    def forward(wd, bd):
+        out = np.zeros(shape[:-1] + (wd.shape[2],), dtype=np.result_type(wd, bd))
+        out += bd  # the order `_conv_forward` adds in, so the values match bitwise
+
+        def vjp(g):
+            return np.zeros_like(wd), g.sum(axis=tuple(range(g.ndim - 1)))
+
+        return out, vjp
+
+    return _emit((kernel.weights, kernel.bias), forward, op="conv2d_of_zeros")
 
 
 def max_pool(x, k: int = 1, stride: int = 2):
@@ -267,26 +292,44 @@ BN_EPS = 1e-5
 
 
 def batchnorm(x, gamma, beta):
-    """Normalize over all non-channel axes with batch statistics."""
+    """Normalize over all non-channel axes with batch statistics.
+
+    Returns (normalized, batch mean, batch variance); the statistics are
+    plain arrays, bitwise equal to numpy's mean and var over those axes.
+    """
+    stats = []
+
     def forward(xd, gd, bd):
         xd = np.asarray(xd)
         axes = tuple(range(xd.ndim - 1))
-        mu = xd.mean(axis=axes)
-        var = xd.var(axis=axes)
-        inv = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (xd - mu) * inv
-        out = gd * xhat + bd
         count = xd.size // xd.shape[-1]
+        mu = xd.mean(axis=axes)
+        xhat = xd - mu
+        var = (xhat * xhat).sum(axis=axes) / count  # np.var's own order of operations
+        inv = 1.0 / np.sqrt(var + BN_EPS)
+        xhat *= inv
+        out = gd * xhat + bd
+        stats.extend((mu, var))
 
         def vjp(g):
-            dxhat = g * gd
-            s1 = dxhat.sum(axis=axes)
-            s2 = (dxhat * xhat).sum(axis=axes)
-            dx = inv * (dxhat - s1 / count - xhat * s2 / count)
-            return dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+            dx = g * gd
+            tmp = g * xhat
+            ggamma = tmp.sum(axis=axes)
+            s1 = dx.sum(axis=axes)
+            np.multiply(dx, xhat, out=tmp)
+            s2 = tmp.sum(axis=axes)
+            # inv * (dxhat - s1 / count - xhat * s2 / count), in place
+            dx -= s1 / count
+            np.multiply(xhat, s2, out=tmp)
+            tmp /= count
+            dx -= tmp
+            dx *= inv
+            return dx, ggamma, g.sum(axis=axes)
 
         return out, vjp
-    return _emit((x, gamma, beta), forward, op="batchnorm")
+
+    out = _emit((x, gamma, beta), forward, op="batchnorm")
+    return (out, *stats)
 
 
 def batchnorm_inference(x, gamma, beta, running_mean, running_var):

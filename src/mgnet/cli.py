@@ -19,7 +19,7 @@ from . import data_io, equivalence_lab, poisson_mg
 from .classic_models import resnet_param_count
 from .mgnet_model import MgNetConfig, count_params, init_weights
 from .tensor_core import ContractViolation
-from .training import TrainConfig, evaluate, train
+from .training import TrainConfig, check_dataset, evaluate, train
 
 TABLE_PRESETS = {
     "mgnet-2-256-256-pi0": dict(c_u=256, c_f=256, pi_variant="pi0"),
@@ -129,6 +129,7 @@ def _cmd_train(args) -> int:
         cfg = MgNetConfig(J=3, nu=(2, 2, 2), c_u=16, c_f=16, pi_variant="pi1",
                           use_batchnorm=True, in_channels=dataset[0].image.shape[-1],
                           classes=classes)
+    check_dataset(cfg, dataset)  # before anything is written
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.json").write_text(json.dumps(cfg.to_dict(), indent=2))

@@ -63,11 +63,17 @@ class _LinearMgOperators:
     def data_map(self, level: int, u):
         return self.h.apply(u, level)
 
+    def data_map_of_zeros(self, level: int, u):
+        return np.zeros_like(u)
+
     def extract(self, level: int, i: int, r):
         return smooth(r, self.h.operator(level), self.omega)
 
     def restrict(self, level: int, x):
         return self.h.restrict(x)
+
+    def zero_transfer(self, level: int) -> bool:
+        return self.pi_kernel is None
 
     def transfer(self, level: int, u):
         cm, cn = self.h.sizes[level]

@@ -247,47 +247,65 @@ def _spatial(x) -> tuple:
 def run_smoothing_sweep(f1, nu, ops, variant: str = "single"):
     """Execute the per-level residual-correction sweep over an operator set.
 
-    `ops` supplies: zero_features(f1), data_map(l, u), extract(l, i, r),
-    restrict(l, x), transfer(l, u), data_needed(l), and for the semi-iterative
-    variants alpha(l, i) / omega(l, i).  Returns (final features, trace).
+    `ops` supplies: zero_features(f1), data_map(l, u), data_map_of_zeros(l, u)
+    (the data map of all-zero features u), extract(l, i, r), restrict(l, x),
+    transfer(l, u), zero_transfer(l) (is transfer(l, .) all zero?),
+    data_needed(l), and for the semi-iterative variants alpha(l, i) /
+    omega(l, i).  Returns (final features, trace).
+
+    Each iterate's data map A^l u is formed at most once: A^{l+1} u^{l+1,0}
+    enters f^{l+1} and is the first step's residual term again, and the last
+    step's A^l u is the one the restriction reads.  All-zero features are
+    never convolved.
     """
+    if variant not in SMOOTHING_VARIANTS:
+        raise ContractViolation(f"unknown smoothing variant {variant!r}")
     levels = len(nu)
     trace = MgNetTrace()
     f_l = f1
     u = ops.zero_features(f1)
+    # A^l u^{l,0}, formed wherever f^l is (and read by level l's first residual)
+    mapped_start = ops.data_map_of_zeros(1, u) if ops.data_needed(1) else None
     for l in range(1, levels + 1):
         if f_l is not None and _spatial(f_l) != _spatial(u):
             raise ContractViolation(
                 f"level {l}: data grid {_spatial(f_l)} does not match "
                 f"feature grid {_spatial(u)}")
         history = [u]
+        mapped = [mapped_start]  # A^l history[j], None until first needed
+
+        def residual(j):
+            if mapped[j] is None:
+                mapped[j] = ops.data_map(l, history[j])
+            return f_l - mapped[j]
+
         for i in range(1, nu[l - 1] + 1):
-            if variant == "single":
-                u = u + ops.extract(l, i, f_l - ops.data_map(l, u))
-            elif variant == "multi":
+            if variant == "multi":
                 alpha = ops.alpha(l, i)
                 acc = None
                 for j, u_j in enumerate(history):
                     term = ad.mul(ad.vector_index(alpha, j),
-                                  u_j + ops.extract(l, i, f_l - ops.data_map(l, u_j)))
+                                  u_j + ops.extract(l, i, residual(j)))
                     acc = term if acc is None else acc + term
                 u = acc
-            elif variant == "chebyshev":
-                step = u + ops.extract(l, i, f_l - ops.data_map(l, u))
-                if i == 1:
-                    u = step  # omega fixed to 1: the two-back term never exists
+            else:
+                step = u + ops.extract(l, i, residual(i - 1))
+                if variant == "single" or i == 1:
+                    u = step  # chebyshev: omega fixed to 1, the two-back term never exists
                 else:
                     omega = ops.omega(l, i)
                     u = ad.mul(omega, step) + ad.mul(ad.sub(1.0, omega), history[-2])
-            else:
-                raise ContractViolation(f"unknown smoothing variant {variant!r}")
             history.append(u)
+            mapped.append(None)
         trace.f_levels.append(f_l)
         trace.u_iterates.append(history)
         if l < levels:
             u_next = ops.transfer(l, u)
+            mapped_start = None
             if ops.data_needed(l + 1):
-                f_l = ops.restrict(l, f_l - ops.data_map(l, u)) + ops.data_map(l + 1, u_next)
+                mapped_start = (ops.data_map_of_zeros(l + 1, u_next) if ops.zero_transfer(l)
+                                else ops.data_map(l + 1, u_next))
+                f_l = ops.restrict(l, residual(len(history) - 1)) + mapped_start
             else:
                 f_l = None
             u = u_next
@@ -318,19 +336,21 @@ class KernelOperators:
         mean_key = f"{site}/bn/running_mean"
         var_key = f"{site}/bn/running_var"
         if self.training:
-            d = value(x)
-            axes = tuple(range(d.ndim - 1))
+            out, batch_mean, batch_var = ad.batchnorm(x, gamma, beta)
             momentum = 0.1
             self.w.buffers[mean_key] = ((1 - momentum) * self.w.buffers[mean_key]
-                                        + momentum * d.mean(axis=axes))
+                                        + momentum * batch_mean)
             self.w.buffers[var_key] = ((1 - momentum) * self.w.buffers[var_key]
-                                       + momentum * d.var(axis=axes))
-            return ad.batchnorm(x, gamma, beta)
+                                       + momentum * batch_var)
+            return out
         return ad.batchnorm_inference(x, gamma, beta,
                                       self.w.buffers[mean_key], self.w.buffers[var_key])
 
     def data_map(self, level: int, u):
         return ad.conv2d(u, self.w.data_map_kernel(level), 1, PaddingMode.ZERO)
+
+    def data_map_of_zeros(self, level: int, u):
+        return ad.conv2d_of_zeros(value(u).shape, self.w.data_map_kernel(level))
 
     def extract(self, level: int, i: int, r):
         kern, site = self.w.extract_kernel(level, i)
@@ -344,6 +364,9 @@ class KernelOperators:
 
     def restrict(self, level: int, x):
         return ad.conv2d(x, self.w.kernel(f"level{level}/restrict"), 2, PaddingMode.ZERO)
+
+    def zero_transfer(self, level: int) -> bool:
+        return self.cfg.pi_variant == "pi0" and not self.cfg.head_site(level)
 
     def transfer(self, level: int, u):
         cfg = self.cfg

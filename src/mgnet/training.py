@@ -63,11 +63,28 @@ def _stack_batch(items):
     return images, labels
 
 
-def _one_hot(labels, classes: int) -> np.ndarray:
+def _check_labels(labels, classes: int) -> None:
     outside = labels[(labels < 0) | (labels >= classes)]
     if outside.size:
         raise ContractViolation(
             f"label {outside[0]} is outside [0, {classes}) of a {classes}-class model")
+
+
+def check_dataset(cfg: MgNetConfig, dataset) -> None:
+    """Reject a dataset the model cannot take: empty, a label outside its
+    classes, or images whose channel count is not its `in_channels`."""
+    if not dataset:
+        raise ContractViolation("dataset is empty")
+    _check_labels(np.array([it.label for it in dataset], dtype=int), cfg.classes)
+    for it in dataset:
+        if it.image.shape[-1] != cfg.in_channels:
+            raise ContractViolation(
+                f"images have {it.image.shape[-1]} channels but the model takes "
+                f"in_channels={cfg.in_channels}")
+
+
+def _one_hot(labels, classes: int) -> np.ndarray:
+    _check_labels(labels, classes)
     out = np.zeros((len(labels), classes))
     out[np.arange(len(labels)), labels] = 1.0
     return out
@@ -80,6 +97,7 @@ def _forward_logits(images, cfg, weights, training):
 
 def evaluate(cfg: MgNetConfig, weights: MgNetWeights, dataset, batch_size: int = 64):
     """(mean cross-entropy, accuracy) over a dataset in evaluation mode."""
+    check_dataset(cfg, dataset)
     total_loss = 0.0
     correct = 0
     for start in range(0, len(dataset), batch_size):
@@ -106,8 +124,7 @@ def train(cfg: MgNetConfig, tcfg: TrainConfig, dataset,
     Raises FloatingPointError, before that batch's update, when a batch loss
     is not finite; the epochs already reported through `on_epoch` stand.
     """
-    if not dataset:
-        raise ContractViolation("training dataset is empty")
+    check_dataset(cfg, dataset)
     if weights is None:
         weights = init_weights(cfg, seed=tcfg.seed)
     rng = np.random.default_rng(tcfg.seed)

@@ -160,12 +160,26 @@ class TestGradientsAgainstFiniteDifferences:
         beta = Parameter("beta", 0.2 * rng.standard_normal(3))
 
         def build():
-            out = ad.batchnorm(x, gamma, beta)
+            out, _, _ = ad.batchnorm(x, gamma, beta)
             flat = ad.spatial_mean(out)
             return ad.softmax_cross_entropy(flat, np.eye(3)[np.zeros(4, dtype=int)])
 
         for p in (gamma, beta, x):
             check_param(build, p, rtol=1e-5)
+
+    def test_conv_of_zeros(self, rng):
+        w = Parameter("w", 0.4 * rng.standard_normal((3, 3, 3, 2)))
+        b = Parameter("b", 0.1 * rng.standard_normal(3))
+        probe = rng.standard_normal((2, 4, 5, 3))
+
+        def build():
+            out = ad.conv2d_of_zeros((2, 4, 5, 2), ConvKernel(w, b))
+            return mean_all(ad.mul(out, probe))
+
+        grads = analytic_grads(build)
+        np.testing.assert_array_equal(grads["w"], np.zeros_like(w.data))
+        for p in (w, b):
+            check_param(build, p)
 
     def test_affine(self, rng):
         x = Parameter("x", rng.standard_normal((4, 5)))
@@ -200,6 +214,54 @@ class TestGradientsAgainstFiniteDifferences:
 
         for p in (a, b):
             check_param(build, p)
+
+
+class TestConvAndBatchnormWork:
+    def test_conv_of_zeros_matches_conv_bitwise(self, rng):
+        kern = ConvKernel(rng.standard_normal((3, 3, 4, 2)), rng.standard_normal(4))
+        for shape in ((5, 6, 2), (3, 5, 6, 2)):
+            zeros = np.zeros(shape)
+            assert (ad.conv2d_of_zeros(shape, kern).tobytes()
+                    == ad.conv2d(zeros, kern, 1, PaddingMode.ZERO).tobytes())
+
+    def test_conv_skips_grad_input_of_untraced_input(self, rng, monkeypatch):
+        calls = []
+        real = ad._conv_grad_input
+        monkeypatch.setattr(ad, "_conv_grad_input",
+                            lambda *a: calls.append(1) or real(*a))
+        w = Parameter("w", rng.standard_normal((3, 3, 2, 2)))
+        b = Parameter("b", rng.standard_normal(2))
+        x = rng.standard_normal((2, 5, 5, 2))
+        with Tape() as tape:
+            h = ad.conv2d(x, ConvKernel(w, b))  # the images: no input gradient
+            loss = mean_all(ad.conv2d(h, ConvKernel(w, b)))
+        backward(tape, loss)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("shape", [(4, 5, 5, 3), (32, 16, 16, 16), (6, 7, 2)])
+    def test_batchnorm_matches_numpy_statistics_and_textbook_vjp(self, rng, shape):
+        x = 3.0 + 2.0 * rng.standard_normal(shape)
+        gamma = 1.0 + 0.2 * rng.standard_normal(shape[-1])
+        beta = 0.2 * rng.standard_normal(shape[-1])
+        g = rng.standard_normal(shape)
+        xp = Parameter("x", x)
+        with Tape() as tape:
+            out, mean, var = ad.batchnorm(xp, gamma, beta)
+        axes = tuple(range(x.ndim - 1))
+        assert mean.tobytes() == x.mean(axis=axes).tobytes()
+        assert var.tobytes() == x.var(axis=axes).tobytes()
+        # the two-pass textbook forward and backward, operation for operation
+        count = x.size // shape[-1]
+        inv = 1.0 / np.sqrt(x.var(axis=axes) + ad.BN_EPS)
+        xhat = (x - x.mean(axis=axes)) * inv
+        assert value(out).tobytes() == (gamma * xhat + beta).tobytes()
+        dxhat = g * gamma
+        want = inv * (dxhat - dxhat.sum(axis=axes) / count
+                      - xhat * (dxhat * xhat).sum(axis=axes) / count)
+        dx, dgamma, dbeta = tape.records[-1].vjp(g)
+        assert dx.tobytes() == want.tobytes()
+        assert dgamma.tobytes() == (g * xhat).sum(axis=axes).tobytes()
+        assert dbeta.tobytes() == g.sum(axis=axes).tobytes()
 
 
 class TestMaxPoolValues:

@@ -30,3 +30,35 @@ def test_traced_function_resolves(module, attr):
 def test_traced_method_resolves(module, cls, method):
     owner = getattr(importlib.import_module(f"mgnet.{module}"), cls)
     assert callable(owner.__dict__[method])
+
+
+def test_traced_training_step_and_eval():
+    from mgnet.data_io import gen_synthetic
+    from mgnet.mgnet_model import MgNetConfig
+    from mgnet.training import TrainConfig, evaluate, train
+
+    # the benchmark's toy model: J=3, nu=(2,2,2), c=16
+    cfg = MgNetConfig(J=3, nu=(2, 2, 2), c_u=16, c_f=16, pi_variant="pi1",
+                      use_batchnorm=True, in_channels=1, classes=2)
+    data = gen_synthetic(2, 4, size=16, seed=0)
+    tracer = spans.Tracer()
+    tracer.install()
+    tracer.active = True
+    try:
+        result = train(cfg, TrainConfig(epochs=1, batch_size=8, learning_rate=0.02), data)
+        evaluate(cfg, result.weights, data, batch_size=8)
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    table = tracer.table()
+    # per forward: theta0, 7 data maps (u^{1,0}'s is its bias alone), 6 extractors,
+    # 2 restrictions and 2 interpolations; one training forward plus one eval
+    assert table["autodiff.conv2d"]["calls"] == 2 * 18
+    assert table["autodiff.vjp.conv2d"]["calls"] == 18
+    assert table["autodiff.vjp.conv2d_of_zeros"]["calls"] == 1
+    for name in ("autodiff.batchnorm", "mgnet_model.KernelOperators.apply_bn",
+                 "training.sgd_momentum_step", "mgnet_model.mgnet_forward.eval"):
+        assert table[name]["calls"] > 0, name
+    metrics = spans.per_layer(tracer, 1, {})
+    assert metrics["autodiff.conv2d.computed_gflops"] > 0
+    assert metrics["autodiff.tape.records_per_step"] > 0

@@ -295,6 +295,23 @@ class TestTrainEvalCommands:
                      ["eval", "--checkpoint", str(ckpt), "--config", str(cfg_path)]):
             assert run_cli(argv + ["--data", str(data_path)]) == 2
             assert "error: label 5 is outside [0, 2)" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"classes": 2}, "label 5 is outside [0, 2)"),
+        ({"in_channels": 1}, "images have 3 channels but the model takes in_channels=1"),
+    ], ids=["labels", "channels"])
+    def test_rejected_train_run_writes_nothing(self, tmp_path, capsys, fields, message):
+        data_path = cifar_file(tmp_path / "data_batch.bin", [5] * 4)
+        cfg = MgNetConfig(**dict(dict(J=2, nu=(1, 1), c_u=4, c_f=4, in_channels=3,
+                                      classes=10), **fields))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        run_dir = tmp_path / "out" / "run"
+        assert run_cli(["train", "--config", str(cfg_path), "--data", str(data_path),
+                        "--out", str(run_dir), "--epochs", "1"]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_empty_data_file_is_input_error(self, tmp_path, capsys, command):

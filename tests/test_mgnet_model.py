@@ -3,11 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from mgnet.autodiff import value
-from mgnet.mgnet_model import (MgNetConfig, classify, count_params, f_in,
+from mgnet import autodiff as ad
+from mgnet.autodiff import BN_EPS, Tape, value
+from mgnet.data_io import LabeledImage
+from mgnet.mgnet_model import (KernelOperators, MgNetConfig, classify, count_params, f_in,
                                init_weights, mgnet_forward, parameter_shapes,
                                run_smoothing_sweep)
-from mgnet.tensor_core import ContractViolation, ConvKernel, PaddingMode, conv2d
+from mgnet.tensor_core import (ContractViolation, ConvKernel, PaddingMode, conv2d, relu,
+                               softmax)
+from mgnet.training import TrainConfig, train
 
 from conftest import identity_kernel
 
@@ -137,6 +141,9 @@ class TestForward:
             def data_needed(self, level):
                 return True
 
+            def data_map_of_zeros(self, level, u):
+                return np.zeros(np.shape(u)[:-1] + (cfg.c_f,))
+
         with pytest.raises(ContractViolation, match="level 1"):
             run_smoothing_sweep(rng.random((8, 8, cfg.c_f)), cfg.nu, BadOps())
 
@@ -199,6 +206,9 @@ class TestVariants:
 
             def data_map(self, level, u):
                 return a_mat @ u
+
+            def data_map_of_zeros(self, level, u):
+                return np.zeros(m)
 
             def extract(self, level, i, r):
                 return b_mat @ r
@@ -323,3 +333,175 @@ class TestStateDict:
         del state["head/bias"]
         with pytest.raises(ContractViolation):
             w.load_state_dict(state)
+
+
+def old_order_forward(x, cfg, w, training=False):
+    """The sweep unrolled by hand in its textbook order, on plain arrays.
+
+    Every residual convolves its iterate afresh: the zero start, A^{l+1} u^{l+1,0}
+    once inside f^{l+1} and again in the first step, and the last iterate again
+    for the restriction.  Returns (final features, f levels, iterates).
+    """
+    def param(name):
+        return np.asarray(w.params[name].data)
+
+    def conv(u, prefix, stride=1, weights=None, bias=None):
+        kern = ConvKernel(param(f"{prefix}/weights") if weights is None else weights,
+                          param(f"{prefix}/bias") if bias is None else bias)
+        return conv2d(u, kern, stride, PaddingMode.ZERO)
+
+    def bn(site, h):
+        if not cfg.use_batchnorm:
+            return h
+        gamma, beta = param(f"{site}/bn/gamma"), param(f"{site}/bn/beta")
+        if training:
+            axes = tuple(range(h.ndim - 1))
+            inv = 1.0 / np.sqrt(h.var(axis=axes) + BN_EPS)
+            return gamma * ((h - h.mean(axis=axes)) * inv) + beta
+        inv = 1.0 / np.sqrt(w.buffers[f"{site}/bn/running_var"] + BN_EPS)
+        return (h - w.buffers[f"{site}/bn/running_mean"]) * (gamma * inv) + beta
+
+    def data_map(l, u):
+        return conv(u, "shared/data_map" if cfg.shared_data_map else f"level{l}/data_map")
+
+    def extract(l, i, r):
+        site = f"level{l}/extract{i}"
+        return relu(bn(site, conv(relu(r), site)))
+
+    def transfer(l, u):
+        if cfg.pi_variant == "pi0":
+            return np.zeros(u.shape[:-3] + (-(-u.shape[-3] // 2), -(-u.shape[-2] // 2),
+                                            u.shape[-1]))
+        if cfg.pi_variant == "pi1":
+            return conv(u, f"level{l}/pi", 2)
+        eye = np.zeros((1, 1, cfg.c_u, cfg.c_u))
+        eye[0, 0, np.arange(cfg.c_u), np.arange(cfg.c_u)] = 1.0
+        return conv(u, f"level{l}/pi", 2, param(f"level{l}/pi/weights") * eye,
+                    param(f"level{l}/pi/bias") * np.ones(cfg.c_u))
+
+    f_l = relu(bn("theta0", conv(x, "theta0")))
+    u = np.zeros(f_l.shape[:-1] + (cfg.c_u,))
+    f_levels, iterates = [], []
+    for l in range(1, cfg.J + 1):
+        history = [u]
+        for i in range(1, cfg.nu[l - 1] + 1):
+            if cfg.smoothing_variant == "multi":
+                alpha = softmax(param(f"level{l}/step{i}/alpha"))
+                u = None
+                for j, u_j in enumerate(history):
+                    term = alpha[j] * (u_j + extract(l, i, f_l - data_map(l, u_j)))
+                    u = term if u is None else u + term
+            else:
+                step = u + extract(l, i, f_l - data_map(l, u))
+                if cfg.smoothing_variant == "single" or i == 1:
+                    u = step
+                else:
+                    omega = param(f"level{l}/step{i}/omega")
+                    u = omega * step + (1.0 - omega) * history[-2]
+            history.append(u)
+        f_levels.append(f_l)
+        iterates.append(history)
+        if l < cfg.J:
+            u_next = transfer(l, u)
+            f_l = (conv(f_l - data_map(l, u), f"level{l}/restrict", 2)
+                   + data_map(l + 1, u_next))
+            u = u_next
+    return u, f_levels, iterates
+
+
+def sweep_config(variant, pi_variant, **overrides):
+    base = dict(J=3, nu=(3, 2, 2), c_u=4, c_f=5, smoothing_variant=variant,
+                pi_variant=pi_variant, use_batchnorm=True, in_channels=2, classes=3)
+    base.update(overrides)
+    return MgNetConfig(**base)
+
+
+def perturbed_weights(cfg, rng):
+    """Initial weights with nonzero biases, BN shifts and running statistics."""
+    w = init_weights(cfg, seed=2)
+    for name, p in w.params.items():
+        if name.endswith(("/bias", "/beta", "/alpha", "/omega")):
+            p.data = p.data + 0.3 * rng.standard_normal(p.data.shape)
+    for name, buf in w.buffers.items():
+        w.buffers[name] = buf + 0.2 * rng.random(buf.shape)
+    return w
+
+
+class TestSweepMatchesTextbookOrder:
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    @pytest.mark.parametrize("pi_variant", ["pi0", "pi1", "pi2"])
+    @pytest.mark.parametrize("variant", ["single", "multi", "chebyshev"])
+    def test_forward_bitwise(self, rng, variant, pi_variant, training):
+        cfg = sweep_config(variant, pi_variant)
+        w = perturbed_weights(cfg, rng)
+        x = rng.standard_normal((3, 9, 9, 2))
+        want_u, want_f, want_iterates = old_order_forward(x, cfg, w, training)
+        if training:
+            with Tape():
+                u, trace = mgnet_forward(x, cfg, w, training=True)
+        else:
+            u, trace = mgnet_forward(x, cfg, w)
+        assert np.asarray(value(u)).tobytes() == want_u.tobytes()
+        for got, want in zip(trace.f_levels, want_f, strict=True):
+            assert np.asarray(value(got)).tobytes() == want.tobytes()
+        for got_level, want_level in zip(trace.u_iterates, want_iterates, strict=True):
+            for got, want in zip(got_level, want_level, strict=True):
+                assert np.asarray(value(got)).tobytes() == want.tobytes()
+
+
+def count_conv_work(monkeypatch, cfg, x, labels):
+    """(forward, grad-input, grad-weight) convolutions of one training step,
+    plus every input the forward convolutions saw."""
+    counts = {"_conv_forward": 0, "_conv_grad_input": 0, "_conv_grad_weights": 0}
+    seen = []
+    for name in counts:
+        real = getattr(ad, name)
+
+        def counted(*args, _name=name, _real=real):
+            counts[_name] += 1
+            if _name == "_conv_forward":
+                seen.append(args[0])
+            return _real(*args)
+        monkeypatch.setattr(ad, name, counted)
+    train(cfg, TrainConfig(epochs=1, batch_size=len(labels), learning_rate=0.01),
+          [LabeledImage(img, int(lab)) for img, lab in zip(x, labels)])
+    return (counts["_conv_forward"], counts["_conv_grad_input"],
+            counts["_conv_grad_weights"]), seen
+
+
+class TestSweepWork:
+    @pytest.mark.parametrize("cfg,size,want", [
+        # the CLI's default toy model: J=3, nu=(2,2,2), c=16
+        (MgNetConfig(J=3, nu=(2, 2, 2), c_u=16, c_f=16, pi_variant="pi1",
+                     use_batchnorm=True, in_channels=1, classes=2), 16, (18, 17, 18)),
+        # the paper's layout, narrowed: shared data map, averaging head at level 5
+        (MgNetConfig(J=5, nu=(2, 2, 2, 2, 0), c_u=4, c_f=4, pi_variant="pi1",
+                     use_batchnorm=True, shared_data_map=True, in_channels=3,
+                     classes=10), 32, (25, 24, 25)),
+    ], ids=["toy", "paper"])
+    def test_convolutions_per_training_step(self, monkeypatch, rng, cfg, size, want):
+        x = rng.random((2, size, size, cfg.in_channels))
+        counts, _ = count_conv_work(monkeypatch, cfg, x, [0, 1])
+        assert counts == want
+
+    @pytest.mark.parametrize("pi_variant", ["pi0", "pi1", "pi2"])
+    @pytest.mark.parametrize("variant", ["single", "multi", "chebyshev"])
+    def test_no_convolution_of_zero_features(self, monkeypatch, rng, variant, pi_variant):
+        cfg = sweep_config(variant, pi_variant)
+        _, seen = count_conv_work(monkeypatch, cfg, rng.random((2, 9, 9, 2)), [0, 2])
+        assert seen and all(np.any(x) for x in seen)
+
+    def test_multi_step_maps_each_iterate_once(self, monkeypatch, rng):
+        # nu_l + 1 data maps on each level that restricts (u^{l,0..nu_l}); the
+        # last level's final iterate is never mapped
+        cfg = sweep_config("multi", "pi1", use_batchnorm=False)
+        per_level = {l: 0 for l in range(1, cfg.J + 1)}
+        for name in ("data_map", "data_map_of_zeros"):
+            real = getattr(KernelOperators, name)
+
+            def counted(self, level, u, _real=real):
+                per_level[level] += 1
+                return _real(self, level, u)
+            monkeypatch.setattr(KernelOperators, name, counted)
+        mgnet_forward(rng.random((9, 9, 2)), cfg, init_weights(cfg, seed=0))
+        assert list(per_level.values()) == [4, 3, 2]  # nu = (3, 2, 2)

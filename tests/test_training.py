@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mgnet.autodiff import Parameter
-from mgnet.data_io import gen_synthetic
-from mgnet.mgnet_model import MgNetConfig, init_weights
+from mgnet.autodiff import Parameter, value
+from mgnet.data_io import LabeledImage, gen_synthetic
+from mgnet.mgnet_model import KernelOperators, MgNetConfig, init_weights
 from mgnet.tensor_core import ContractViolation
 from mgnet.training import (TrainConfig, evaluate, finite_diff_check,
                             sgd_momentum_step, train)
@@ -69,8 +69,18 @@ def toy_config(classes=2):
 
 class TestTrainLoop:
     def test_empty_dataset_rejected(self):
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ContractViolation, match="dataset is empty"):
             train(toy_config(), TrainConfig(epochs=1), [])
+        with pytest.raises(ContractViolation, match="dataset is empty"):
+            evaluate(toy_config(), init_weights(toy_config()), [])
+
+    def test_images_with_other_channel_counts_rejected(self):
+        cfg = toy_config()
+        data = [LabeledImage(np.zeros((8, 8, 3)), 0)]
+        with pytest.raises(ContractViolation, match="3 channels .* in_channels=1"):
+            train(cfg, TrainConfig(epochs=1), data)
+        with pytest.raises(ContractViolation, match="3 channels .* in_channels=1"):
+            evaluate(cfg, init_weights(cfg), data)
 
     def test_labels_outside_the_classes_rejected(self):
         cfg = toy_config(classes=2)
@@ -173,6 +183,44 @@ class TestFiniteDifferenceAudit:
         assert buffers.keys() == weights.buffers.keys()
         for name, b in buffers.items():
             assert b.tobytes() == weights.buffers[name].tobytes(), name
+
+    def test_zero_interpolation_model_trains_and_audits(self, rng):
+        # under pi0 every level starts from zero features, whose data map is
+        # its bias alone; level 2 does no smoothing, so its data map weights
+        # meet only zero features and still need their (zero) gradient entry
+        cfg = MgNetConfig(J=3, nu=(1, 0, 1), c_u=3, c_f=3, pi_variant="pi0",
+                          use_batchnorm=True, in_channels=1, classes=2)
+        weights = init_weights(cfg, seed=0)
+        data = gen_synthetic(2, 2, size=8, seed=0)
+        train(cfg, TrainConfig(epochs=1, batch_size=4, learning_rate=0.05), data,
+              weights=weights)
+        report = finite_diff_check(cfg, weights, rng.random((2, 8, 8, 1)), [0, 1], seed=0)
+        assert report.worst_relative_error < 1e-4
+        assert set(report.per_parameter) == set(weights.params)
+
+    def test_batchnorm_buffers_follow_numpy_statistics(self, monkeypatch):
+        cfg = MgNetConfig(J=2, nu=(2, 1), c_u=4, c_f=4, pi_variant="pi1",
+                          use_batchnorm=True, in_channels=1, classes=2)
+        weights = init_weights(cfg, seed=0)
+        before = {name: b.copy() for name, b in weights.buffers.items()}
+        seen = []
+        real = KernelOperators.apply_bn
+
+        def recording(self, site, x):
+            seen.append((site, np.array(value(x))))
+            return real(self, site, x)
+        monkeypatch.setattr(KernelOperators, "apply_bn", recording)
+        data = gen_synthetic(2, 3, size=8, seed=1)
+        train(cfg, TrainConfig(epochs=1, batch_size=6), data, weights=weights)
+        assert {site for site, _ in seen} == {name[:-len("/bn/running_mean")]
+                                              for name in before if "mean" in name}
+        for site, x in seen:
+            axes = (0, 1, 2)
+            mean_key, var_key = f"{site}/bn/running_mean", f"{site}/bn/running_var"
+            want_mean = 0.9 * before[mean_key] + 0.1 * x.mean(axis=axes)
+            want_var = 0.9 * before[var_key] + 0.1 * x.var(axis=axes)
+            assert weights.buffers[mean_key].tobytes() == want_mean.tobytes()
+            assert weights.buffers[var_key].tobytes() == want_var.tobytes()
 
     def test_bias_nudges_are_restored(self, rng):
         cfg = MgNetConfig(J=2, nu=(1, 1), c_u=3, c_f=3, pi_variant="pi1",
