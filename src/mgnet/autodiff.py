@@ -4,7 +4,7 @@ Every op here mirrors a plain-numpy primitive and dispatches on its inputs:
 with no active tape (or only plain arrays) it just computes the array, so the
 same forward code serves evaluation and training.  Under an active `Tape`,
 ops touching a `Node` append a record holding the inputs and a
-vector-Jacobian closure; `backward` walks the records in reverse.
+vector-Jacobian closure; `backward` consumes the records in reverse.
 """
 
 from __future__ import annotations
@@ -125,24 +125,35 @@ def _emit(inputs, forward, op="op"):
 def backward(tape: Tape, loss) -> dict:
     """Reverse sweep; returns gradients for every registered parameter.
 
-    Parameters that never influenced the loss get zero gradients.
+    Parameters that never influenced the loss get zero gradients.  The sweep
+    consumes the tape: each record is popped when reached and, once its
+    gradient has passed to its parents, drops its gradient, vjp closure and
+    parents, so activations and saved tensors are freed as the sweep goes.
+    Of the records, only the loss keeps its gradient.  A second sweep of
+    the tape raises.
     """
     if not isinstance(loss, Node):
         raise ContractViolation("loss is not a traced node")
     if np.asarray(loss.data).size != 1:
         raise ContractViolation(f"loss must be scalar, got shape {loss.data.shape}")
-    for node in tape.records:
-        node.grad = None
+    if not tape.records:
+        raise ContractViolation(
+            "tape has no records: an earlier backward consumed it, or nothing was traced")
     for p in tape.params.values():
         p.grad = None
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape.records):
-        if node.grad is None or node.vjp is None:
-            continue
-        for parent, g in zip(node.parents, node.vjp(node.grad)):
-            if g is None or not isinstance(parent, Node):
-                continue
-            parent.grad = g if parent.grad is None else parent.grad + g
+    records = tape.records
+    while records:
+        node = records.pop()
+        if node.grad is not None and node.vjp is not None:
+            for parent, g in zip(node.parents, node.vjp(node.grad)):
+                if g is None or not isinstance(parent, Node):
+                    continue
+                parent.grad = g if parent.grad is None else parent.grad + g
+        if node is not loss:
+            node.grad = None
+        node.vjp = None
+        node.parents = ()
     return {name: (p.grad if p.grad is not None else np.zeros_like(p.data))
             for name, p in tape.params.items()}
 
@@ -161,16 +172,16 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 def add(a, b):
     def forward(ad, bd):
         ad, bd = np.asarray(ad), np.asarray(bd)
-        out = ad + bd
-        return out, lambda g: (_unbroadcast(g, ad.shape), _unbroadcast(g, bd.shape))
+        sa, sb = ad.shape, bd.shape  # the vjp keeps the shapes, not the operands
+        return ad + bd, lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb))
     return _emit((a, b), forward, op="add")
 
 
 def sub(a, b):
     def forward(ad, bd):
         ad, bd = np.asarray(ad), np.asarray(bd)
-        out = ad - bd
-        return out, lambda g: (_unbroadcast(g, ad.shape), _unbroadcast(-g, bd.shape))
+        sa, sb = ad.shape, bd.shape
+        return ad - bd, lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb))
     return _emit((a, b), forward, op="sub")
 
 

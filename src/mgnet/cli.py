@@ -164,7 +164,11 @@ def _cmd_eval(args) -> int:
     weights.load_state_dict(data_io.load_checkpoint(ckpt_path))
     dataset = _load_dataset(args.data, args.data_format, cfg.classes, args.seed)
     loss, accuracy = evaluate(cfg, weights, dataset)
-    print(json.dumps({"loss": loss, "accuracy": accuracy, "items": len(dataset)}))
+    if not np.isfinite(loss):
+        print(f"error: evaluation loss is {loss}", file=sys.stderr)
+        return 1
+    print(json.dumps({"loss": loss, "accuracy": accuracy, "items": len(dataset)},
+                     allow_nan=False))
     return 0
 
 

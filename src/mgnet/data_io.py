@@ -8,7 +8,7 @@ row major.  Checkpoints are a little-endian container:
     per tensor: name length (uint32), utf-8 name, rank (uint32),
                 dims (uint32 each), values as float64
 
-Round-trips are bitwise.
+Names are unique and values finite.  Round-trips are bitwise.
 """
 
 from __future__ import annotations
@@ -104,7 +104,10 @@ def save_checkpoint(path, tensors: dict) -> None:
 
 
 def load_checkpoint(path) -> dict:
-    """Read a checkpoint container back into a name -> float64 array map."""
+    """Read a checkpoint container back into a name -> float64 array map.
+
+    Any departure from the layout (bad magic, truncation, a name that is not
+    UTF-8 or appears twice, a non-finite value) raises `FormatError`."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
@@ -124,7 +127,14 @@ def load_checkpoint(path) -> dict:
         (name_len,) = struct.unpack("<I", take(4, "name length"))
         if name_len > 1 << 16:
             raise FormatError(f"{path}: implausible name length {name_len} at offset {pos}")
-        name = take(name_len, "name").decode("utf-8")
+        raw_name = take(name_len, "name")
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: tensor name {raw_name!r} at offset {pos - name_len} "
+                              f"is not UTF-8") from None
+        if name in tensors:
+            raise FormatError(f"{path}: tensor {name!r} appears twice")
         (rank,) = struct.unpack("<I", take(4, "rank"))
         if rank > 32:
             raise FormatError(f"{path}: implausible rank {rank} for {name!r}")
@@ -133,5 +143,8 @@ def load_checkpoint(path) -> dict:
         for d in dims:
             count *= d
         payload = take(8 * count, f"values of {name!r}")
-        tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+        values = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+        if not np.isfinite(values).all():
+            raise FormatError(f"{path}: tensor {name!r} holds non-finite values")
+        tensors[name] = values
     return tensors

@@ -179,17 +179,22 @@ class MgNetWeights:
         return out
 
     def load_state_dict(self, state: dict) -> None:
-        for name, p in self.params.items():
-            if name not in state:
-                raise ContractViolation(f"checkpoint is missing parameter {name!r}")
-            arr = np.asarray(state[name])
-            if arr.shape != p.data.shape:
+        """Replace every parameter and buffer; `state` must name exactly these
+        tensors, each in its current shape.  Nothing changes when it does not."""
+        current = {name: p.data for name, p in self.params.items()} | self.buffers
+        missing = [name for name in current if name not in state]
+        extra = [name for name in state if name not in current]
+        if missing or extra:
+            raise ContractViolation(
+                f"checkpoint does not match the model: missing {missing}, extra {extra}")
+        for name, arr in current.items():
+            if np.shape(state[name]) != arr.shape:
                 raise ContractViolation(
-                    f"parameter {name!r}: checkpoint shape {arr.shape} != {p.data.shape}")
-            p.data = arr.astype(p.data.dtype, copy=True)
-        for name in self.buffers:
-            if name in state:
-                self.buffers[name] = np.asarray(state[name]).copy()
+                    f"{name!r}: checkpoint shape {np.shape(state[name])} != {arr.shape}")
+        for name, p in self.params.items():
+            p.data = np.array(state[name], dtype=p.data.dtype)
+        for name, buf in self.buffers.items():
+            self.buffers[name] = np.array(state[name], dtype=buf.dtype)
 
 
 def _conv_init(rng, name, shape):

@@ -11,6 +11,7 @@ import pytest
 from mgnet import autodiff as ad
 from mgnet.grid_transfer import ProlongationMode, restrict_kr
 from mgnet.tensor_core import ConvKernel, PaddingMode
+from mgnet.training import _forward_logits, _one_hot
 
 
 def identity_kernel(channels: int) -> ConvKernel:
@@ -24,6 +25,33 @@ def mean_all(x):
         xd = np.asarray(xd)
         return xd.mean(), lambda g: (np.broadcast_to(g / xd.size, xd.shape).copy(),)
     return ad._emit((x,), forward, op="mean_all")
+
+
+def reference_backward(tape, loss) -> dict:
+    """The reverse sweep before it consumed its tape: every record stays
+    recorded, with its gradient, vjp and parents, after the sweep."""
+    for node in tape.records:
+        node.grad = None
+    for p in tape.params.values():
+        p.grad = None
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(tape.records):
+        if node.grad is None or node.vjp is None:
+            continue
+        for parent, g in zip(node.parents, node.vjp(node.grad)):
+            if g is None or not isinstance(parent, ad.Node):
+                continue
+            parent.grad = g if parent.grad is None else parent.grad + g
+    return {name: (p.grad if p.grad is not None else np.zeros_like(p.data))
+            for name, p in tape.params.items()}
+
+
+def traced_loss(cfg, weights, images, labels):
+    """(tape, loss) of one training-mode forward: the cross-entropy of the logits."""
+    with ad.Tape() as tape:
+        z = _forward_logits(images, cfg, weights, training=True)
+        loss = ad.softmax_cross_entropy(z, _one_hot(np.asarray(labels), cfg.classes))
+    return tape, loss
 
 
 def cifar_file(path, labels, label_bytes=1):

@@ -3,9 +3,11 @@ import pytest
 
 from mgnet import autodiff as ad
 from mgnet.autodiff import Node, Parameter, Tape, backward, value
+from mgnet.data_io import gen_synthetic
+from mgnet.mgnet_model import MgNetConfig, init_weights
 from mgnet.tensor_core import ContractViolation, ConvKernel, PaddingMode
 
-from conftest import identity_kernel, mean_all
+from conftest import identity_kernel, mean_all, reference_backward, traced_loss
 
 
 def numeric_grad(loss_fn, param, h=1e-6):
@@ -298,3 +300,54 @@ class TestNodeArithmetic:
         with Tape():
             out = np.ones((2, 2)) + p  # ndarray.__add__ must defer to Node.__radd__
             assert isinstance(out, Node)
+
+
+def toy_model(variant="single", pi="pi1"):
+    """The CLI's default toy model (J=3, nu=(2, 2, 2), c=16) and one batch of
+    eight 16x16 two-class blobs."""
+    cfg = MgNetConfig(J=3, nu=(2, 2, 2), c_u=16, c_f=16, smoothing_variant=variant,
+                      pi_variant=pi, use_batchnorm=True, in_channels=1, classes=2)
+    data = gen_synthetic(2, 4, size=16, seed=0)
+    images = np.stack([it.image for it in data])
+    return cfg, init_weights(cfg, seed=0), images, [it.label for it in data]
+
+
+class TestConsumingSweep:
+    @pytest.mark.parametrize("pi", ["pi0", "pi1", "pi2"])
+    @pytest.mark.parametrize("variant", ["single", "multi", "chebyshev"])
+    def test_gradients_bitwise_equal_to_the_retaining_sweep(self, variant, pi):
+        cfg, weights, images, labels = toy_model(variant, pi)
+        want = reference_backward(*traced_loss(cfg, weights, images, labels))
+        got = backward(*traced_loss(cfg, weights, images, labels))
+        assert got.keys() == want.keys() == weights.params.keys()
+        for name, g in want.items():
+            assert got[name].tobytes() == g.tobytes(), name
+
+    def test_sweep_empties_the_tape_and_unlinks_every_record(self):
+        cfg, weights, images, labels = toy_model()
+        tape, loss = traced_loss(cfg, weights, images, labels)
+        recorded = list(tape.records)
+        backward(tape, loss)
+        assert tape.records == []
+        assert loss.grad.tobytes() == np.ones_like(loss.data).tobytes()
+        assert loss.vjp is None and loss.parents == ()
+        for node in recorded:
+            assert not isinstance(node, Parameter)
+            assert node.vjp is None and node.parents == (), node
+            assert node is loss or node.grad is None, node
+
+    def test_second_backward_on_a_consumed_tape_raises(self):
+        p = Parameter("p", np.array([1.0, -2.0]))
+        with Tape() as tape:
+            loss = mean_all(ad.mul(p, p))
+        np.testing.assert_array_equal(backward(tape, loss)["p"], [1.0, -2.0])
+        with pytest.raises(ContractViolation, match="consumed"):
+            backward(tape, loss)
+
+    @pytest.mark.parametrize("op", [ad.add, ad.sub])
+    def test_add_and_sub_vjps_keep_shapes_not_operands(self, op):
+        p = Parameter("p", np.ones((2, 3)))
+        with Tape():
+            node = op(np.zeros((4, 2, 3)), p)
+        held = [cell.cell_contents for cell in node.vjp.__closure__]
+        assert not any(isinstance(x, np.ndarray) for x in held)

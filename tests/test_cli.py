@@ -252,6 +252,18 @@ class TestTrainEvalCommands:
         assert metrics and all(np.isfinite(m["loss"]) for m in metrics)
         assert not (run_dir / "checkpoint.mgnet").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_eval_loss_is_check_failure(self, tmp_path, capsys):
+        cfg = MgNetConfig(J=2, nu=(1, 1), c_u=4, c_f=4, in_channels=1, classes=2)
+        (tmp_path / "config.json").write_text(json.dumps(cfg.to_dict()))
+        state = init_weights(cfg).state_dict()
+        state["head/bias"] = np.array([1e308, -1e308])  # finite logits, infinite loss
+        save_checkpoint(tmp_path / "checkpoint.mgnet", state)
+        assert run_cli(["eval", "--checkpoint", str(tmp_path / "checkpoint.mgnet")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: evaluation loss is inf" in captured.err
+
     def test_eval_without_config_is_input_error(self, tmp_path, capsys):
         ckpt = tmp_path / "model.mgnet"
         from mgnet.data_io import save_checkpoint

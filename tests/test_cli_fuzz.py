@@ -4,16 +4,21 @@ Arguments are drawn from each subcommand's grammar with out-of-range,
 non-finite and malformed values mixed in, and `count-params` reads fuzzed
 JSON model configs.  `train` and `eval` are drawn only on paths that reject
 their input before the first epoch, so no drawn example trains a model.
+A second property feeds `eval` byte-level mutations of a trained checkpoint.
 """
 
+import contextlib
+import io
 import json
+import math
+import shutil
 from datetime import timedelta
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mgnet.cli import TABLE_PRESETS, run_cli
-from mgnet.data_io import save_checkpoint
+from mgnet.data_io import load_checkpoint, save_checkpoint
 from mgnet.equivalence_lab import THEOREM_IDS
 from mgnet.mgnet_model import MgNetConfig, init_weights
 
@@ -168,3 +173,76 @@ def test_every_argv_ends_in_an_exit_code(fixture_dir, case):
     if config is not None:
         (fixture_dir / "fuzz.json").write_text(config)
     assert run_cli([a.format(dir=fixture_dir) for a in argv]) in (0, 1, 2)
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """A real `mgnet train --epochs 1` run directory (the default toy model)."""
+    d = tmp_path_factory.mktemp("trained")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli(["train", "--out", str(d / "run"), "--epochs", "1"]) == 0
+    return d / "run"
+
+
+def _with_state(edit):
+    """A mutation that rewrites the decoded tensors and encodes them again."""
+    def mutate(raw, a, b, scratch):
+        state = load_checkpoint(scratch / "checkpoint.mgnet")
+        edit(state)
+        save_checkpoint(scratch / "edited.mgnet", state)
+        return (scratch / "edited.mgnet").read_bytes()
+    return mutate
+
+
+def _splice(raw, a, b, scratch):
+    """Cut out (or, with b before a, repeat) the bytes between two offsets."""
+    return raw[:a % len(raw)] + raw[b % len(raw):]
+
+
+def _flip(raw, a, b, scratch):
+    i = a % len(raw)
+    return raw[:i] + bytes([raw[i] ^ (b % 255 + 1)]) + raw[i + 1:]
+
+
+MUTATIONS = {
+    "truncate": lambda raw, a, b, scratch: raw[:a % len(raw)],
+    "flip": _flip,
+    "splice": _splice,
+    # the named reproducers
+    "missing_buffers": _with_state(lambda s: [s.pop(n) for n in list(s) if "/running_" in n]),
+    "extra_tensor": _with_state(lambda s: s.update({"level9/bogus": s["head/bias"]})),
+    "nan_value": _with_state(lambda s: s["head/weights"].__setitem__((0, 0), math.nan)),
+    # the first tensor name starts after the 6-byte magic and its 4-byte length
+    "non_utf8_name": lambda raw, a, b, scratch: raw[:10] + b"\xff" + raw[11:],
+}
+BYTE_MUTATIONS = ["truncate", "flip", "splice"]
+
+
+def _strict_float(text):
+    raise ValueError(f"non-finite number {text} in the output")
+
+
+@settings(max_examples=25, deadline=timedelta(seconds=20), database=None, derandomize=True)
+@given(mutation=st.tuples(st.sampled_from(BYTE_MUTATIONS), st.integers(0, 1 << 16),
+                          st.integers(0, 1 << 16)))
+@example(mutation=("missing_buffers", 0, 0))
+@example(mutation=("extra_tensor", 0, 0))
+@example(mutation=("nan_value", 0, 0))
+@example(mutation=("non_utf8_name", 0, 0))
+def test_eval_of_a_mutated_checkpoint_ends_in_an_exit_code(trained_run, tmp_path_factory,
+                                                           mutation):
+    kind, a, b = mutation
+    scratch = tmp_path_factory.mktemp("mutated")
+    shutil.copy(trained_run / "config.json", scratch / "config.json")
+    shutil.copy(trained_run / "checkpoint.mgnet", scratch / "checkpoint.mgnet")
+    raw = (scratch / "checkpoint.mgnet").read_bytes()
+    (scratch / "checkpoint.mgnet").write_bytes(MUTATIONS[kind](raw, a, b, scratch))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run_cli(["eval", "--checkpoint", str(scratch / "checkpoint.mgnet")])
+    assert code in (0, 1, 2)
+    if kind not in BYTE_MUTATIONS:
+        assert code == 2, kind
+    if code == 0:
+        result = json.loads(out.getvalue().splitlines()[-1], parse_constant=_strict_float)
+        assert math.isfinite(result["loss"]) and 0.0 <= result["accuracy"] <= 1.0

@@ -148,6 +148,30 @@ class TestCheckpoints:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
+    def test_non_utf8_name_is_a_format_error(self, tmp_path):
+        path = tmp_path / "model.mgnet"
+        save_checkpoint(path, {"w": np.ones(2)})
+        raw = bytearray(path.read_bytes())
+        raw[10] = 0xFF  # the name starts after the magic and its 4-byte length
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="not UTF-8"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_a_format_error(self, tmp_path, bad):
+        path = tmp_path / "model.mgnet"
+        save_checkpoint(path, {"w": np.array([1.0, bad])})
+        with pytest.raises(FormatError, match="non-finite"):
+            load_checkpoint(path)
+
+    def test_repeated_name_is_a_format_error(self, tmp_path):
+        path = tmp_path / "model.mgnet"
+        save_checkpoint(path, {"w": np.ones(2)})
+        raw = path.read_bytes()
+        path.write_bytes(raw + raw[len(CHECKPOINT_MAGIC):])
+        with pytest.raises(FormatError, match="twice"):
+            load_checkpoint(path)
+
     def test_model_state_roundtrip(self, tmp_path):
         cfg = MgNetConfig(J=2, nu=(1, 1), c_u=3, c_f=3, pi_variant="pi2",
                           use_batchnorm=True, in_channels=1, classes=2)

@@ -334,6 +334,25 @@ class TestStateDict:
         with pytest.raises(ContractViolation):
             w.load_state_dict(state)
 
+    def test_state_must_name_exactly_the_parameters_and_buffers(self):
+        cfg = small_config(use_batchnorm=True)
+        w = init_weights(cfg, seed=0)
+        target = init_weights(cfg, seed=99)
+        before = target.state_dict()
+        buffers = [name for name in w.buffers]
+        assert buffers
+        without_buffers = {n: a for n, a in w.state_dict().items() if n not in buffers}
+        with pytest.raises(ContractViolation, match="missing") as info:
+            target.load_state_dict(without_buffers)
+        assert all(name in str(info.value) for name in buffers)
+        with pytest.raises(ContractViolation, match="extra .*'bogus'"):
+            target.load_state_dict({**w.state_dict(), "bogus": np.zeros(1)})
+        bad_buffer = {**w.state_dict(), buffers[0]: np.zeros(7)}
+        with pytest.raises(ContractViolation, match="shape"):
+            target.load_state_dict(bad_buffer)
+        for name, arr in target.state_dict().items():  # a refused load changes nothing
+            assert arr.tobytes() == before[name].tobytes(), name
+
 
 def old_order_forward(x, cfg, w, training=False):
     """The sweep unrolled by hand in its textbook order, on plain arrays.

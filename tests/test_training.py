@@ -1,14 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from mgnet.autodiff import Parameter, value
+from mgnet import training
+from mgnet.autodiff import Parameter, backward, value
 from mgnet.data_io import LabeledImage, gen_synthetic
 from mgnet.mgnet_model import KernelOperators, MgNetConfig, init_weights
 from mgnet.tensor_core import ContractViolation
 from mgnet.training import (TrainConfig, evaluate, finite_diff_check,
                             sgd_momentum_step, train)
 
-from conftest import mean_all
+from conftest import mean_all, reference_backward, traced_loss
 
 
 class TestSgdMomentum:
@@ -122,6 +125,42 @@ class TestTrainLoop:
         moved = [name for name, buf in result.weights.buffers.items()
                  if "running_mean" in name and np.abs(buf).max() > 0]
         assert moved
+
+
+class TestConsumingSweepInTraining:
+    def test_trained_weights_bitwise_equal_to_the_retaining_sweep(self, monkeypatch):
+        cfg = MgNetConfig(J=3, nu=(2, 2, 2), c_u=8, c_f=8, pi_variant="pi1",
+                          use_batchnorm=True, in_channels=1, classes=2)
+        data = gen_synthetic(2, 12, size=16, seed=1)
+        tcfg = TrainConfig(learning_rate=0.05, batch_size=8, epochs=2, seed=0)
+        got = train(cfg, tcfg, data)
+        monkeypatch.setattr(training, "backward", reference_backward)
+        want = train(cfg, tcfg, data)
+        assert got.history == want.history
+        for name, p in want.weights.params.items():
+            assert got.weights.params[name].data.tobytes() == p.data.tobytes(), name
+        for name, b in want.weights.buffers.items():
+            assert got.weights.buffers[name].tobytes() == b.tobytes(), name
+
+    def test_step_memory_peaks_at_its_forward_graph(self):
+        # the CLI's toy model on one batch of 32 16x16 images
+        cfg = MgNetConfig(J=3, nu=(2, 2, 2), c_u=16, c_f=16, pi_variant="pi1",
+                          use_batchnorm=True, in_channels=1, classes=2)
+        weights = init_weights(cfg, seed=0)
+        data = gen_synthetic(2, 16, size=16, seed=0)
+        images = np.stack([it.image for it in data])
+        labels = [it.label for it in data]
+        backward(*traced_loss(cfg, weights, images, labels))  # warm-up step
+        tracemalloc.start()
+        try:
+            tape, loss = traced_loss(cfg, weights, images, labels)
+            forward_graph = tracemalloc.get_traced_memory()[0]
+            backward(tape, loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert forward_graph > 10 * 2**20  # the activations of 32 images, tens of MB
+        assert peak <= 1.1 * forward_graph, (peak, forward_graph)
 
 
 class TestFiniteDifferenceAudit:
