@@ -6,9 +6,8 @@ classic single-grid counterparts, and a verification suite that certifies
 the structural equivalences between them at machine precision.
 """
 
-from .tensor_core import (ContractViolation, ConvKernel, PaddingMode, Tensor,
-                          conv2d, relu, softmax)
-from .grid_transfer import ProlongationMode, prolongate, restrict_kr
+from .tensor_core import ContractViolation, ConvKernel, Tensor, conv2d, relu, softmax
+from .grid_transfer import prolongate, restrict_kr
 from .poisson_mg import PoissonHierarchy, backslash_mg, mg0, solve_poisson
 from .mgnet_model import (MgNetConfig, MgNetWeights, classify, count_params,
                           init_weights, mgnet_forward)

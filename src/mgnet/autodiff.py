@@ -3,7 +3,7 @@
 Every op here mirrors a plain-numpy primitive and dispatches on its inputs:
 with no active tape (or only plain arrays) it just computes the array, so the
 same forward code serves evaluation and training.  Under an active `Tape`,
-ops touching a `Node` append a record holding the inputs and a
+ops touching a `Node` append a record holding the traced inputs and a
 vector-Jacobian closure; `backward` consumes the records in reverse.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor_core import (ContractViolation, PaddingMode, _conv_forward, _conv_grad_input,
+from .tensor_core import (ContractViolation, _conv_forward, _conv_grad_input,
                           _conv_grad_weights, _max_forward, _max_grad_input, _with_batch,
                           softmax)
 
@@ -112,12 +112,16 @@ def value(x):
 
 
 def _emit(inputs, forward, op="op"):
-    """Run `forward` on unwrapped inputs; record a Node when tracing applies."""
+    """Run `forward` on unwrapped inputs; record a Node when tracing applies.
+
+    A plain-array input is recorded as a ``None`` parent: it takes no
+    gradient, and the record does not keep it alive until the sweep.
+    """
     out, vjp = forward(*(value(i) for i in inputs))
     tape = _active_tape()
     if tape is None or not any(isinstance(i, Node) for i in inputs):
         return out
-    node = Node(out, tuple(inputs), vjp, op=op)
+    node = Node(out, tuple(i if isinstance(i, Node) else None for i in inputs), vjp, op=op)
     tape._append(node)
     return node
 
@@ -201,7 +205,7 @@ def relu(x):
     return _emit((x,), forward, op="relu")
 
 
-def conv2d(x, kernel, stride: int = 1, padding: PaddingMode = PaddingMode.ZERO):
+def conv2d(x, kernel, stride: int = 1):
     """Differentiable counterpart of tensor_core.conv2d; accepts a batch axis.
 
     An input that is not a traced node (the images) gets no gradient.
@@ -215,16 +219,16 @@ def conv2d(x, kernel, stride: int = 1, padding: PaddingMode = PaddingMode.ZERO):
         if xb.shape[-1] != wd.shape[3]:
             raise ContractViolation(
                 f"input has {xb.shape[-1]} channels but kernel expects {wd.shape[3]}")
-        out = _conv_forward(xb, wd, bd, stride, padding)
+        out = _conv_forward(xb, wd, bd, stride)
         k = (wd.shape[0] - 1) // 2
 
         def vjp(g):
             gb = g[None] if squeeze else g
             gx = None
             if traced_input:
-                gx = _conv_grad_input(gb, wd, xb.shape, stride, padding)
+                gx = _conv_grad_input(gb, wd, xb.shape, stride)
                 gx = gx[0] if squeeze else gx
-            gw = _conv_grad_weights(xb, gb, k, stride, padding)
+            gw = _conv_grad_weights(xb, gb, k, stride)
             gbias = gb.sum(axis=(0, 1, 2))
             return gx, gw, gbias
 

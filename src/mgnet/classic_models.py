@@ -12,12 +12,11 @@ import math
 
 import numpy as np
 
-from .tensor_core import (ContractViolation, ConvKernel, PaddingMode, Tensor,
-                          _check_count, conv2d, relu)
+from .tensor_core import ContractViolation, ConvKernel, Tensor, _check_count, conv2d, relu
 
 
 def _conv(f, kern: ConvKernel) -> Tensor:
-    return conv2d(f, kern, 1, PaddingMode.ZERO)
+    return conv2d(f, kern, 1)
 
 
 def negated(kern: ConvKernel) -> ConvKernel:

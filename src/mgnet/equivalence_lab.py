@@ -15,9 +15,10 @@ import numpy as np
 
 from .classic_models import (classic_cnn_step, iresnet_block, negated,
                              resnet_block, sigma_resnet_step)
+from .grid_transfer import restrict_kr
 from .mgnet_model import MgNetConfig, init_weights, mgnet_forward, run_smoothing_sweep
 from .poisson_mg import PoissonHierarchy, mg0, smooth
-from .tensor_core import ConvKernel, PaddingMode, conv2d, relu
+from .tensor_core import ConvKernel, conv2d, relu
 
 SUITE_TOLERANCE = 1e-9
 
@@ -70,7 +71,7 @@ class _LinearMgOperators:
         return smooth(r, self.h.operator(level), self.omega)
 
     def restrict(self, level: int, x):
-        return self.h.restrict(x)
+        return restrict_kr(x)
 
     def zero_transfer(self, level: int) -> bool:
         return self.pi_kernel is None
@@ -79,7 +80,7 @@ class _LinearMgOperators:
         cm, cn = self.h.sizes[level]
         if self.pi_kernel is None:
             return np.zeros((cm, cn))
-        return conv2d(u[:, :, None], self.pi_kernel, 2, PaddingMode.ZERO)[:, :, 0]
+        return conv2d(u[:, :, None], self.pi_kernel, 2)[:, :, 0]
 
 
 def verify_mgnet_mg0(size: int = 17, levels: int = 3, nu=(2, 2, 2), omega: float = 0.8,
@@ -142,12 +143,12 @@ def verify_dual_iresnet(seed: int = 0, levels: int = 3, nu=(3, 3, 3), channels: 
         xi_lin = ConvKernel(np.asarray(xi.weights), np.zeros(channels))
         f_l = np.asarray(trace.f_levels[l - 1])
         iterates = [np.asarray(u) for u in trace.u_iterates[l - 1]]
-        f_cur = f_l - conv2d(iterates[0], xi, 1, PaddingMode.ZERO)
+        f_cur = f_l - conv2d(iterates[0], xi, 1)
         for i, u_i in enumerate(iterates):
             if i > 0:
                 eta, _ = weights.extract_kernel(l, i)
                 f_cur = iresnet_block(f_cur, negated(xi_lin), eta)
-            expected = f_l - conv2d(u_i, xi, 1, PaddingMode.ZERO)
+            expected = f_l - conv2d(u_i, xi, 1)
             worst = max(worst, float(np.abs(f_cur - expected).max()))
             instances += 1
     return EquivalenceReport("dual", worst, instances, seed)
@@ -172,8 +173,7 @@ def verify_resnet_sigma_transform(block_count: int = 4, channels: int = 8,
     for i, (xi, eta) in enumerate(kernels, 1):
         f_chain = resnet_block(f_chain, xi, eta)
         if i == 1:
-            g = f + conv2d(relu(conv2d(f, eta, 1, PaddingMode.ZERO)), xi, 1,
-                           PaddingMode.ZERO)
+            g = f + conv2d(relu(conv2d(f, eta, 1)), xi, 1)
         else:
             # sigma-ResNet step with the branch sign flipped to match the
             # plus-convention residual block
@@ -224,7 +224,7 @@ def verify_cnn_embedding(layers: int = 2, channels: int = 3, size: int = 6,
     for _ in range(3):
         x = rng.standard_normal((size, size, channels))
         stacked = np.concatenate([relu(x), relu(-x)], axis=2)
-        out = conv2d(stacked, delta_hat, 1, PaddingMode.ZERO)
+        out = conv2d(stacked, delta_hat, 1)
         worst = max(worst, float(np.abs(out - (-x)).max()))
         instances += 1
 
@@ -243,8 +243,7 @@ def verify_cnn_embedding(layers: int = 2, channels: int = 3, size: int = 6,
     g_embed = g_plain
     for chi, eta in zip(chis, extractors):
         g_plain = classic_cnn_step(g_plain, chi, "pre")
-        g_embed = relu(g_embed - conv2d(relu(conv2d(g_embed, eta, 1, PaddingMode.ZERO)),
-                                        delta_hat, 1, PaddingMode.ZERO))
+        g_embed = relu(g_embed - conv2d(relu(conv2d(g_embed, eta, 1)), delta_hat, 1))
         worst = max(worst, float(np.abs(g_plain - g_embed).max()))
         instances += 1
     return EquivalenceReport("embed", worst, instances, seed)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, value
-from .tensor_core import ContractViolation, ConvKernel, PaddingMode, _check_count, softmax
+from .tensor_core import ContractViolation, ConvKernel, _check_count, softmax
 
 SMOOTHING_VARIANTS = ("single", "multi", "chebyshev")
 EXTRACTOR_STRATEGIES = ("variable", "constant", "scaled")
@@ -326,9 +326,10 @@ class KernelOperators:
         self.training = training
 
     def zero_features(self, f1):
+        # a read-only broadcast of one zero: the sweep only adds to it, and a
+        # full-size buffer would be allocated and freed on every forward
         d = value(f1)
-        shape = d.shape[:-1] + (self.cfg.c_u,)
-        return np.zeros(shape, dtype=d.dtype)
+        return np.broadcast_to(np.zeros((), dtype=d.dtype), d.shape[:-1] + (self.cfg.c_u,))
 
     def data_needed(self, level: int) -> bool:
         return self.cfg.data_needed(level)
@@ -352,7 +353,7 @@ class KernelOperators:
                                       self.w.buffers[mean_key], self.w.buffers[var_key])
 
     def data_map(self, level: int, u):
-        return ad.conv2d(u, self.w.data_map_kernel(level), 1, PaddingMode.ZERO)
+        return ad.conv2d(u, self.w.data_map_kernel(level), 1)
 
     def data_map_of_zeros(self, level: int, u):
         return ad.conv2d_of_zeros(value(u).shape, self.w.data_map_kernel(level))
@@ -360,7 +361,7 @@ class KernelOperators:
     def extract(self, level: int, i: int, r):
         kern, site = self.w.extract_kernel(level, i)
         h = ad.relu(r)
-        h = ad.conv2d(h, kern, 1, PaddingMode.ZERO)
+        h = ad.conv2d(h, kern, 1)
         h = self.apply_bn(site, h)
         h = ad.relu(h)
         if self.cfg.extractor_strategy == "scaled":
@@ -368,7 +369,7 @@ class KernelOperators:
         return h
 
     def restrict(self, level: int, x):
-        return ad.conv2d(x, self.w.kernel(f"level{level}/restrict"), 2, PaddingMode.ZERO)
+        return ad.conv2d(x, self.w.kernel(f"level{level}/restrict"), 2)
 
     def zero_transfer(self, level: int) -> bool:
         return self.cfg.pi_variant == "pi0" and not self.cfg.head_site(level)
@@ -391,7 +392,7 @@ class KernelOperators:
             grouped_w = ad.mul(kern.weights, eye)
             grouped_b = ad.mul(kern.bias, np.ones(cfg.c_u))
             kern = ConvKernel(grouped_w, grouped_b)
-        return ad.conv2d(u, kern, 2, PaddingMode.ZERO)
+        return ad.conv2d(u, kern, 2)
 
     def alpha(self, level: int, i: int):
         return ad.softmax_vector(self.w.params[f"level{level}/step{i}/alpha"])
@@ -402,7 +403,7 @@ class KernelOperators:
 
 def f_in(f, variant: str, theta0: ConvKernel, bn):
     """Initial data transform: conv, `bn`, relu, optionally stride-2 max pool."""
-    h = ad.conv2d(f, theta0, 1, PaddingMode.ZERO)
+    h = ad.conv2d(f, theta0, 1)
     h = ad.relu(bn(h))
     if variant == "conv_relu_maxpool":
         h = ad.max_pool(h, 1, 2)

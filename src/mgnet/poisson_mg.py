@@ -21,8 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid_transfer import ProlongationMode, prolongate, restrict_kr
-from .tensor_core import ContractViolation, PaddingMode, _pad, _windows
+from .grid_transfer import prolongate, restrict_kr
+from .tensor_core import ContractViolation, _pad, _windows
 
 POISSON_STENCIL = np.array([[0.0, -1.0, 0.0],
                             [-1.0, 4.0, -1.0],
@@ -62,7 +62,7 @@ class StencilOperator:
         u = self._checked(u)
         m, n = self.shape
         out = np.zeros((m, n))
-        for p, q, win in _windows(_pad(u[None, :, :, None], 1, PaddingMode.ZERO), 3, 1, m, n):
+        for p, q, win in _windows(_pad(u[None, :, :, None], 1), 3, 1, m, n):
             if self._live[p, q]:
                 out += self.coef[:, :, p, q] * win[0, :, :, 0]
         return out
@@ -74,7 +74,7 @@ class PoissonHierarchy:
     ``sizes[l - 1]`` is the level-l grid (m_l, n_l) of the nodal chain
     m -> (m+1)/2 -> ..., which needs an odd size >= 3 at every level and a
     coarsest grid of at most ``COARSEST_MAX_SIZE`` per side.  The transfers
-    are the LINEAR nodal interpolation and its transpose.
+    are `prolongate` and its transpose `restrict_kr`.
     """
 
     def __init__(self, m: int, n: int, levels: int):
@@ -103,7 +103,7 @@ class PoissonHierarchy:
     def _galerkin(self, level: int) -> StencilOperator:
         """R A^l P, probed with the 9 colour vectors ``e[a::3, b::3] = 1``.
 
-        A 3x3 field stays 3x3 under Galerkin coarsening with either
+        A 3x3 field stays 3x3 under Galerkin coarsening with linear
         prolongation, and a 3x3 neighbourhood meets each colour once, so the
         probe of the colour of (i + p - 1, j + q - 1), read at (i, j), is
         exactly the tap (p, q) of row (i, j).
@@ -114,7 +114,7 @@ class PoissonHierarchy:
             for b in range(3):
                 e = np.zeros((cm, cn))
                 e[a::3, b::3] = 1.0
-                probes[a, b] = self.restrict(self.apply(self.prolong(e), level))
+                probes[a, b] = restrict_kr(self.apply(prolongate(e), level))
         i = np.arange(cm)[:, None, None, None]
         j = np.arange(cn)[None, :, None, None]
         p, q = np.arange(3)[:, None], np.arange(3)
@@ -132,14 +132,6 @@ class PoissonHierarchy:
     def apply(self, u: np.ndarray, level: int) -> np.ndarray:
         """A^l u for the level-l grid."""
         return self.operator(level).apply(u)
-
-    def prolong(self, coarse: np.ndarray) -> np.ndarray:
-        """Transfer level l+1 values to level l by nodal interpolation."""
-        return prolongate(coarse[:, :, None], ProlongationMode.LINEAR)[:, :, 0]
-
-    def restrict(self, fine: np.ndarray) -> np.ndarray:
-        """Transfer to the next-coarser grid with the fixed 3x3 kernel (= P^T)."""
-        return restrict_kr(fine[:, :, None], ProlongationMode.LINEAR)[:, :, 0]
 
     def _assemble(self, level: int) -> np.ndarray:
         """The level-l field as a dense (m_l n_l, m_l n_l) matrix."""
@@ -239,7 +231,7 @@ def mg0(f, levels: int, nu, omega: float = 0.8,
         trace.f_levels.append(f_l)
         trace.u_iterates.append(iterates)
         if l < levels:
-            f_l = hierarchy.restrict(f_l - hierarchy.apply(u, l))
+            f_l = restrict_kr(f_l - hierarchy.apply(u, l))
     return trace
 
 
@@ -253,7 +245,7 @@ def backslash_mg(f, levels: int, nu, omega: float = 0.8,
     u = trace.solutions
     u[-1] = hierarchy.coarse_solve(trace.f_levels[-1])
     for l in range(levels - 1, 0, -1):
-        u[l - 1] = u[l - 1] + hierarchy.prolong(u[l])
+        u[l - 1] = u[l - 1] + prolongate(u[l])
     return u[0]
 
 

@@ -15,7 +15,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import enum
 import numbers
 from dataclasses import dataclass
 
@@ -31,12 +30,6 @@ def _check_count(name: str, value, minimum: int) -> None:
     """Reject a count that is not an integer (a bool or a float is not) or is below `minimum`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ContractViolation(f"{name} must be an integer >= {minimum}, got {value!r}")
-
-
-class PaddingMode(enum.Enum):
-    ZERO = "zero"
-    PERIODIC = "periodic"
-    REFLECTED = "reflected"
 
 
 @dataclass
@@ -75,50 +68,23 @@ class ConvKernel:
         return cls(np.zeros((n, n, out_channels, in_channels), dtype=np.float64),
                    np.zeros(out_channels, dtype=np.float64))
 
-    @classmethod
-    def from_matrix(cls, matrix, channels: int = 1) -> "ConvKernel":
-        """Single 2-D stencil applied to each of `channels` channels independently."""
-        m = np.asarray(matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 1:
-            raise ContractViolation(f"stencil must be odd square, got {m.shape}")
-        k = (m.shape[0] - 1) // 2
-        kern = cls.zeros(k, channels, channels)
-        for c in range(channels):
-            kern.weights[:, :, c, c] = m
-        return kern
-
 
 # ---------------------------------------------------------------------------
 # shifted-slice windows: one padded copy, one strided view per kernel tap
 # ---------------------------------------------------------------------------
 
-def _pad(x: np.ndarray, k: int, mode: PaddingMode) -> np.ndarray:
-    """(b, h, w, c) -> (b, h+2k, w+2k, c); reflection does not repeat the edge sample."""
+def _pad(x: np.ndarray, k: int) -> np.ndarray:
+    """(b, h, w, c) -> (b, h+2k, w+2k, c) with a zero halo."""
     b, m, n, c = x.shape
-    if mode is PaddingMode.ZERO:
-        # allocate-and-assign: np.pad's per-call overhead shows on small grids
-        xp = np.zeros((b, m + 2 * k, n + 2 * k, c), dtype=x.dtype)
-        xp[:, k:k + m, k:k + n] = x
-        return xp
-    np_mode = "wrap" if mode is PaddingMode.PERIODIC else "reflect"
-    return np.pad(x, ((0, 0), (k, k), (k, k), (0, 0)), mode=np_mode)
+    # allocate-and-assign: np.pad's per-call overhead shows on small grids
+    xp = np.zeros((b, m + 2 * k, n + 2 * k, c), dtype=x.dtype)
+    xp[:, k:k + m, k:k + n] = x
+    return xp
 
 
-def _unpad(g: np.ndarray, k: int, mode: PaddingMode) -> np.ndarray:
-    """Adjoint of `_pad`: crop the halo, folding it back onto the samples it copies."""
-    m, n = g.shape[1] - 2 * k, g.shape[2] - 2 * k
-    if mode is PaddingMode.ZERO:
-        return g[:, k:k + m, k:k + n]
-    # source sample of every padded row / column, so `_pad` alone defines the modes
-    rows = _pad(np.arange(m).reshape(1, m, 1, 1), k, mode)[0, :, k, 0]
-    cols = _pad(np.arange(n).reshape(1, n, 1, 1), k, mode)[0, :, k, 0]
-    out = g[:, k:k + m].copy()
-    for i in (*range(k), *range(k + m, m + 2 * k)):
-        out[:, rows[i]] += g[:, i]
-    g, out = out, out[:, :, k:k + n].copy()
-    for j in (*range(k), *range(k + n, n + 2 * k)):
-        out[:, :, cols[j]] += g[:, :, j]
-    return out
+def _unpad(g: np.ndarray, k: int) -> np.ndarray:
+    """Adjoint of `_pad`: crop the halo."""
+    return g[:, k:g.shape[1] - k, k:g.shape[2] - k]
 
 
 def _windows(xp: np.ndarray, kk: int, stride: int, ho: int, wo: int):
@@ -129,31 +95,31 @@ def _windows(xp: np.ndarray, kk: int, stride: int, ho: int, wo: int):
                            q:q + stride * (wo - 1) + 1:stride]
 
 
-def _conv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, stride: int,
-                  mode: PaddingMode) -> np.ndarray:
+def _conv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
+                  stride: int) -> np.ndarray:
     kk, _, cout, cin = weights.shape
     b, m, n, _ = x.shape
     ho, wo = -(-m // stride), -(-n // stride)
     out = np.zeros((b * ho * wo, cout), dtype=np.result_type(x, weights, bias))
-    for p, q, win in _windows(_pad(x, kk // 2, mode), kk, stride, ho, wo):
+    for p, q, win in _windows(_pad(x, kk // 2), kk, stride, ho, wo):
         out += win.reshape(-1, cin) @ weights[p, q].T
     out += bias
     return out.reshape(b, ho, wo, cout)
 
 
-def _conv_grad_weights(x: np.ndarray, grad_out: np.ndarray, k: int, stride: int,
-                       mode: PaddingMode) -> np.ndarray:
+def _conv_grad_weights(x: np.ndarray, grad_out: np.ndarray, k: int,
+                       stride: int) -> np.ndarray:
     _, ho, wo, cout = grad_out.shape
     kk, cin = 2 * k + 1, x.shape[3]
     g2 = grad_out.reshape(-1, cout)
     gw = np.empty((kk, kk, cout, cin), dtype=np.result_type(x, grad_out))
-    for p, q, win in _windows(_pad(x, k, mode), kk, stride, ho, wo):
+    for p, q, win in _windows(_pad(x, k), kk, stride, ho, wo):
         gw[p, q] = g2.T @ win.reshape(-1, cin)
     return gw
 
 
-def _conv_grad_input(grad_out: np.ndarray, weights: np.ndarray, in_shape, stride: int,
-                     mode: PaddingMode) -> np.ndarray:
+def _conv_grad_input(grad_out: np.ndarray, weights: np.ndarray, in_shape,
+                     stride: int) -> np.ndarray:
     """Add each tap's input gradient into its window of a padded buffer, then unpad."""
     b, m, n, cin = in_shape
     k = weights.shape[0] // 2
@@ -162,7 +128,7 @@ def _conv_grad_input(grad_out: np.ndarray, weights: np.ndarray, in_shape, stride
     gp = np.zeros((b, m + 2 * k, n + 2 * k, cin), dtype=np.result_type(grad_out, weights))
     for p, q, win in _windows(gp, 2 * k + 1, stride, ho, wo):
         win += (g2 @ weights[p, q]).reshape(b, ho, wo, cin)
-    return _unpad(gp, k, mode)
+    return _unpad(gp, k)
 
 
 def _max_forward(x: np.ndarray, k: int, stride: int):
@@ -174,8 +140,7 @@ def _max_forward(x: np.ndarray, k: int, stride: int):
     ho, wo = -(-m // stride), -(-n // stride)
     out = np.full((b, ho, wo, c), -np.inf, dtype=x.dtype)
     tap = np.zeros(out.shape, dtype=np.intp)
-    for t, (_, _, win) in enumerate(_windows(_pad(x, k, PaddingMode.ZERO), 2 * k + 1,
-                                             stride, ho, wo)):
+    for t, (_, _, win) in enumerate(_windows(_pad(x, k), 2 * k + 1, stride, ho, wo)):
         wins = (win > out) | np.isnan(win)
         np.copyto(out, win, where=wins)
         np.copyto(tap, t, where=wins)
@@ -190,7 +155,7 @@ def _max_grad_input(grad_out: np.ndarray, tap: np.ndarray, in_shape, k: int,
     gp = np.zeros((b, m + 2 * k, n + 2 * k, c), dtype=grad_out.dtype)
     for t, (_, _, win) in enumerate(_windows(gp, 2 * k + 1, stride, ho, wo)):
         win += np.where(tap == t, grad_out, 0.0)
-    return _unpad(gp, k, PaddingMode.ZERO)
+    return _unpad(gp, k)
 
 
 def _with_batch(x: np.ndarray):
@@ -201,9 +166,8 @@ def _with_batch(x: np.ndarray):
     raise ContractViolation(f"expected (h, w, c) or (batch, h, w, c), got shape {x.shape}")
 
 
-def conv2d(input: Tensor, kernel: ConvKernel, stride: int = 1,
-           padding: PaddingMode = PaddingMode.ZERO) -> Tensor:
-    """Multichannel convolution with stride and the three padding modes.
+def conv2d(input: Tensor, kernel: ConvKernel, stride: int = 1) -> Tensor:
+    """Multichannel convolution with stride and zero padding.
 
     Output channel ``t`` is ``sum_i K[i,t] * input[i] + bias[t]``; the output
     is ``ceil(h/stride) x ceil(w/stride) x out_channels``.
@@ -216,8 +180,7 @@ def conv2d(input: Tensor, kernel: ConvKernel, stride: int = 1,
     if x.shape[-1] != kernel.in_channels:
         raise ContractViolation(
             f"input has {x.shape[-1]} channels but kernel expects {kernel.in_channels}")
-    out = _conv_forward(x, np.asarray(kernel.weights), np.asarray(kernel.bias),
-                        stride, padding)
+    out = _conv_forward(x, np.asarray(kernel.weights), np.asarray(kernel.bias), stride)
     return out[0] if squeeze else out
 
 

@@ -178,18 +178,25 @@ def _min_preactivation(tape: Tape) -> float:
     return min(gaps) if gaps else np.inf
 
 
+# central-difference step of the audit, and the smallest distance from a
+# rectifier kink at which a pre-activation counts as safely off it
+FD_STEP = 1e-5
+FD_KINK_GAP = 1e-4
+
+
 def finite_diff_check(cfg: MgNetConfig, weights: MgNetWeights, images, labels,
-                      step: float = 1e-5, max_entries_per_group: int | None = None,
-                      seed: int = 0, kink_gap: float = 1e-4) -> GradientCheckReport:
+                      max_entries_per_group: int | None = None,
+                      seed: int = 0) -> GradientCheckReport:
     """Central differences against the reverse sweep for every parameter group.
 
     Errors are measured relative to each group's largest gradient magnitude.
     Differencing is only meaningful away from rectifier kinks: while any
-    pre-activation sits within `kink_gap` of zero (crossable by the `step`),
-    the input batch is jittered; zero-initialized biases align kinks exactly
-    and cannot be cleared through the inputs, so as a last resort the bias
-    parameters are nudged for the duration of the audit and restored after,
-    as are the batchnorm running buffers that the training-mode forwards update.
+    pre-activation sits within `FD_KINK_GAP` of zero (crossable by an
+    `FD_STEP` difference), the input batch is jittered; zero-initialized
+    biases align kinks exactly and cannot be cleared through the inputs, so
+    as a last resort the bias parameters are nudged for the duration of the
+    audit and restored after, as are the batchnorm running buffers that the
+    training-mode forwards update.
     """
     rng = np.random.default_rng(seed)
     images = np.asarray(images, dtype=float)
@@ -213,7 +220,7 @@ def finite_diff_check(cfg: MgNetConfig, weights: MgNetWeights, images, labels,
             with Tape() as tape:
                 z = _forward_logits(images, cfg, weights, training=True)
                 loss = ad.softmax_cross_entropy(z, targets)
-            if _min_preactivation(tape) > kink_gap:
+            if _min_preactivation(tape) > FD_KINK_GAP:
                 break
         grads = backward(tape, loss)
 
@@ -244,10 +251,10 @@ def finite_diff_check(cfg: MgNetConfig, weights: MgNetWeights, images, labels,
             group_worst = 0.0
             for flat in flat_indices:
                 idx = np.unravel_index(flat, p.data.shape)
-                err = guarded_error(measure(idx, step), g[idx])
+                err = guarded_error(measure(idx, FD_STEP), g[idx])
                 # a disagreement usually means the +-step interval straddled a
                 # rectifier kink; shrinking the step moves the interval off it
-                for h in (step / 8.0, step / 64.0):
+                for h in (FD_STEP / 8.0, FD_STEP / 64.0):
                     if err <= 1e-6:
                         break
                     err = min(err, guarded_error(measure(idx, h), g[idx]))

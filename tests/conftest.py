@@ -1,22 +1,31 @@
 """Shared test helpers: independent brute-force references and test-only ops.
 
 The reference convolution below is a literal transcription of the sliding
-window sum with explicit boundary handling, kept loop-based on purpose so it
-stays independent of the vectorized implementation it checks.
+window sum with explicit zero-padding boundary handling, kept loop-based on
+purpose so it stays independent of the vectorized implementation it checks.
 """
 
 import numpy as np
 import pytest
 
 from mgnet import autodiff as ad
-from mgnet.grid_transfer import ProlongationMode, restrict_kr
-from mgnet.tensor_core import ConvKernel, PaddingMode
+from mgnet.grid_transfer import restrict_kr
+from mgnet.tensor_core import ConvKernel
 from mgnet.training import _forward_logits, _one_hot
+
+
+def from_matrix(matrix, channels: int = 1) -> ConvKernel:
+    """Single 2-D stencil applied to each of `channels` channels independently."""
+    m = np.asarray(matrix, dtype=np.float64)
+    kern = ConvKernel.zeros((m.shape[0] - 1) // 2, channels, channels)
+    for c in range(channels):
+        kern.weights[:, :, c, c] = m
+    return kern
 
 
 def identity_kernel(channels: int) -> ConvKernel:
     """3x3 centre-tap kernel mapping each channel to itself."""
-    return ConvKernel.from_matrix(np.pad([[1.0]], 1), channels)
+    return from_matrix(np.pad([[1.0]], 1), channels)
 
 
 def mean_all(x):
@@ -65,17 +74,18 @@ def cifar_file(path, labels, label_bytes=1):
     return path
 
 
-def restriction_matrix(m: int, n: int, mode: ProlongationMode) -> np.ndarray:
+def restriction_matrix(m: int, n: int) -> np.ndarray:
     """Dense (ceil(m/2)*ceil(n/2), m*n) matrix of `restrict_kr` on flattened grids."""
     cols = []
     for j in range(m * n):
-        e = np.zeros((m, n, 1))
+        e = np.zeros((m, n))
         e.flat[j] = 1.0
-        cols.append(restrict_kr(e, mode)[:, :, 0].ravel())
+        cols.append(restrict_kr(e).ravel())
     return np.stack(cols, axis=1)
 
 
-def reference_conv2d(x, kernel: ConvKernel, stride: int, mode: PaddingMode):
+def reference_conv2d(x, kernel: ConvKernel, stride: int):
+    """Zero-padded convolution as the literal sliding-window sum."""
     m, n, cin = x.shape
     weights = np.asarray(kernel.weights)
     bias = np.asarray(kernel.bias)
@@ -83,26 +93,14 @@ def reference_conv2d(x, kernel: ConvKernel, stride: int, mode: PaddingMode):
     h_out, w_out = -(-m // stride), -(-n // stride)
     out = np.zeros((h_out, w_out, kernel.out_channels))
 
-    def fold(d, size):
-        if 0 <= d < size:
-            return d
-        if mode is PaddingMode.ZERO:
-            return None
-        if mode is PaddingMode.PERIODIC:
-            return d % size
-        period = 2 * size - 2 if size > 1 else 1
-        r = d % period
-        return r if r < size else period - r
-
     for t in range(kernel.out_channels):
         for i in range(h_out):
             for j in range(w_out):
                 acc = bias[t]
                 for p in range(-k, k + 1):
                     for q in range(-k, k + 1):
-                        ii = fold(stride * i + p, m)
-                        jj = fold(stride * j + q, n)
-                        if ii is None or jj is None:
+                        ii, jj = stride * i + p, stride * j + q
+                        if not (0 <= ii < m and 0 <= jj < n):
                             continue
                         for c in range(cin):
                             acc += weights[k + p, k + q, t, c] * x[ii, jj, c]

@@ -11,7 +11,7 @@ from mgnet.classic_models import resnet_param_count
 from mgnet.cli import table_preset
 from mgnet.data_io import gen_synthetic, load_cifar10, save_checkpoint, load_checkpoint
 from mgnet.equivalence_lab import verify_all
-from mgnet.grid_transfer import ProlongationMode, prolongation_matrix, restriction_kernel
+from mgnet.grid_transfer import RESTRICT_LINEAR, prolongation_matrix
 from mgnet.mgnet_model import MgNetConfig, count_params, init_weights, mgnet_forward
 from mgnet.poisson_mg import PoissonHierarchy, smooth, solve_poisson
 from mgnet.training import TrainConfig, evaluate, finite_diff_check, train
@@ -61,18 +61,13 @@ def test_criterion_2_multigrid_solver_convergence():
 
 
 def test_criterion_3_kernel_exactness():
-    bilinear_ok = np.array_equal(
-        restriction_kernel(ProlongationMode.BILINEAR),
-        np.array([[0.25, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 0.25]]))
-    linear_ok = np.array_equal(
-        restriction_kernel(ProlongationMode.LINEAR),
-        np.array([[0.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 0.0]]))
+    kernel_ok = np.array_equal(
+        RESTRICT_LINEAR, np.array([[0.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 0.0]]))
     transpose_ok = True
-    for mode in ProlongationMode:
-        for coarse in (3, 5):  # fine grids 5x5 and 9x9
-            p = prolongation_matrix(coarse, coarse, mode)
-            r = restriction_matrix(2 * coarse - 1, 2 * coarse - 1, mode)
-            transpose_ok &= np.array_equal(r, p.T)
+    for coarse in (3, 5):  # fine grids 5x5 and 9x9
+        p = prolongation_matrix(coarse, coarse)
+        r = restriction_matrix(2 * coarse - 1, 2 * coarse - 1)
+        transpose_ok &= np.array_equal(r, p.T)
     # the smoother is omega D^-1 r on every level, D the diagonal of the dense
     # matrix that `apply` represents
     rng = np.random.default_rng(3)
@@ -89,8 +84,8 @@ def test_criterion_3_kernel_exactness():
             jacobi = (omega / diag * r.ravel()).reshape(m, n)
             got = smooth(r, hierarchy.operator(level), omega)
             worst = max(worst, float(np.abs(got - jacobi).max()))
-    ok = bilinear_ok and linear_ok and transpose_ok and worst < 1e-12
-    verdict(3, ok, f"kernels exact={bilinear_ok and linear_ok}, "
+    ok = kernel_ok and transpose_ok and worst < 1e-12
+    verdict(3, ok, f"kernel exact={kernel_ok}, "
                    f"restriction==prolongation^T={transpose_ok}, "
                    f"smoother vs omega D^-1 r on 4 levels {worst:.1e}")
 

@@ -5,7 +5,7 @@ from mgnet import autodiff as ad
 from mgnet.autodiff import Node, Parameter, Tape, backward, value
 from mgnet.data_io import gen_synthetic
 from mgnet.mgnet_model import MgNetConfig, init_weights
-from mgnet.tensor_core import ContractViolation, ConvKernel, PaddingMode
+from mgnet.tensor_core import ContractViolation, ConvKernel
 
 from conftest import identity_kernel, mean_all, reference_backward, traced_loss
 
@@ -80,15 +80,14 @@ class TestBasics:
 
 
 class TestGradientsAgainstFiniteDifferences:
-    @pytest.mark.parametrize("mode", list(PaddingMode))
-    def test_conv_kernel_grad_of_mean_square(self, rng, mode):
+    def test_conv_kernel_grad_of_mean_square(self, rng):
         # mean of squared conv outputs, differenced at step 1e-5
         x = rng.standard_normal((6, 6, 2))
         w = Parameter("w", 0.4 * rng.standard_normal((3, 3, 3, 2)))
         b = Parameter("b", 0.1 * rng.standard_normal(3))
 
         def build():
-            out = ad.conv2d(x, ConvKernel(w, b), 1, mode)
+            out = ad.conv2d(x, ConvKernel(w, b), 1)
             return mean_all(ad.mul(out, out))
 
         with Tape() as tape:
@@ -102,16 +101,15 @@ class TestGradientsAgainstFiniteDifferences:
 
     # tiny and odd grids, and a 5x5 kernel on a 2x3 grid: halos wider than the grid
     @pytest.mark.parametrize("m,n,kk", [(6, 6, 3), (1, 1, 3), (1, 4, 3), (2, 3, 3), (2, 3, 5)])
-    @pytest.mark.parametrize("mode", list(PaddingMode))
     @pytest.mark.parametrize("stride", [1, 2, 3])
-    def test_conv_weights_bias_input(self, rng, mode, stride, m, n, kk):
+    def test_conv_weights_bias_input(self, rng, stride, m, n, kk):
         x = Parameter("x", rng.standard_normal((m, n, 2)))
         w = Parameter("w", 0.4 * rng.standard_normal((kk, kk, 3, 2)))
         b = Parameter("b", 0.1 * rng.standard_normal(3))
         probe = rng.standard_normal(3)
 
         def build():
-            out = ad.conv2d(x, ConvKernel(w, b), stride, mode)
+            out = ad.conv2d(x, ConvKernel(w, b), stride)
             return ad.softmax_cross_entropy(ad.mul(ad.spatial_mean(out), probe),
                                             np.array([1.0, 0.0, 0.0]))
 
@@ -224,7 +222,7 @@ class TestConvAndBatchnormWork:
         for shape in ((5, 6, 2), (3, 5, 6, 2)):
             zeros = np.zeros(shape)
             assert (ad.conv2d_of_zeros(shape, kern).tobytes()
-                    == ad.conv2d(zeros, kern, 1, PaddingMode.ZERO).tobytes())
+                    == ad.conv2d(zeros, kern, 1).tobytes())
 
     def test_conv_skips_grad_input_of_untraced_input(self, rng, monkeypatch):
         calls = []
@@ -351,3 +349,27 @@ class TestConsumingSweep:
             node = op(np.zeros((4, 2, 3)), p)
         held = [cell.cell_contents for cell in node.vjp.__closure__]
         assert not any(isinstance(x, np.ndarray) for x in held)
+
+
+class TestTracedParents:
+    def test_plain_input_is_recorded_as_none(self):
+        p = Parameter("p", np.ones(3))
+        with Tape():
+            node = ad.add(np.zeros(3), p)
+        assert node.parents == (None, p)
+
+    @pytest.mark.parametrize("pi", ["pi0", "pi1", "pi2"])
+    def test_training_tape_holds_no_plain_array(self, pi):
+        cfg, weights, images, labels = toy_model(pi=pi)
+        tape, loss = traced_loss(cfg, weights, images, labels)
+        untraced = [(node.op, i) for node in tape.records
+                    for i, parent in enumerate(node.parents) if not isinstance(parent, Node)]
+        assert all(parent is None for node in tape.records for parent in node.parents
+                   if not isinstance(parent, Node))
+        # the images enter the first convolution, the one-hot targets the loss
+        assert ("conv2d", 0) in untraced and ("softmax_cross_entropy", 1) in untraced
+        want = reference_backward(*traced_loss(cfg, weights, images, labels))
+        got = backward(tape, loss)
+        assert got.keys() == want.keys()
+        for name, g in want.items():
+            assert got[name].tobytes() == g.tobytes(), name

@@ -4,8 +4,7 @@ import pytest
 from mgnet.classic_models import (classic_cnn_step, iresnet_block, negated,
                                   resnet_block, resnet_param_count,
                                   resnet_parameter_shapes, sigma_resnet_step)
-from mgnet.tensor_core import (ContractViolation, ConvKernel, PaddingMode,
-                               conv2d, relu)
+from mgnet.tensor_core import ContractViolation, ConvKernel, conv2d, relu
 
 from conftest import identity_kernel
 
@@ -30,8 +29,7 @@ class TestBlocks:
     def test_resnet_matches_recomposition(self, rng):
         f = rng.standard_normal((6, 6, 3))
         xi, eta = rand_kernel(rng, 3), rand_kernel(rng, 3)
-        branch = conv2d(relu(conv2d(f, eta, 1, PaddingMode.ZERO)), xi, 1,
-                        PaddingMode.ZERO)
+        branch = conv2d(relu(conv2d(f, eta, 1)), xi, 1)
         np.testing.assert_allclose(resnet_block(f, xi, eta), relu(f + branch),
                                    atol=1e-12)
 
@@ -43,8 +41,7 @@ class TestBlocks:
     def test_iresnet_matches_recomposition(self, rng):
         f = rng.standard_normal((6, 6, 3))
         xi, eta = rand_kernel(rng, 3), rand_kernel(rng, 3)
-        branch = conv2d(relu(conv2d(relu(f), eta, 1, PaddingMode.ZERO)), xi, 1,
-                        PaddingMode.ZERO)
+        branch = conv2d(relu(conv2d(relu(f), eta, 1)), xi, 1)
         np.testing.assert_allclose(iresnet_block(f, xi, eta), f + branch, atol=1e-12)
 
     def test_sigma_zero_branch(self, rng):
@@ -55,8 +52,7 @@ class TestBlocks:
     def test_sigma_matches_recomposition(self, rng):
         f = rng.standard_normal((6, 6, 3))
         xi, eta = rand_kernel(rng, 3), rand_kernel(rng, 3)
-        branch = conv2d(relu(conv2d(relu(f), eta, 1, PaddingMode.ZERO)), xi, 1,
-                        PaddingMode.ZERO)
+        branch = conv2d(relu(conv2d(relu(f), eta, 1)), xi, 1)
         np.testing.assert_allclose(sigma_resnet_step(f, xi, eta), relu(f) - branch,
                                    atol=1e-12)
 
@@ -84,15 +80,14 @@ class TestBlocks:
         # the displayed composition with the one level kernel gives the same chain
         check = f
         for eta in etas:
-            check = relu(check) - conv2d(relu(conv2d(relu(check), eta, 1, PaddingMode.ZERO)),
-                                         xi_level, 1, PaddingMode.ZERO)
+            check = relu(check) - conv2d(relu(conv2d(relu(check), eta, 1)), xi_level, 1)
         np.testing.assert_array_equal(chain, check)
 
     def test_negated_kernel_is_affine_negation(self, rng):
         f = rng.standard_normal((6, 6, 3))
         xi = rand_kernel(rng, 3)
-        np.testing.assert_allclose(conv2d(f, negated(xi), 1, PaddingMode.ZERO),
-                                   -conv2d(f, xi, 1, PaddingMode.ZERO), atol=1e-13)
+        np.testing.assert_allclose(conv2d(f, negated(xi), 1),
+                                   -conv2d(f, xi, 1), atol=1e-13)
 
 
 class TestClassicCnnStep:
@@ -113,9 +108,9 @@ class TestClassicCnnStep:
         f = rng.standard_normal((5, 5, 2))
         chi = rand_kernel(rng, 2)
         np.testing.assert_allclose(classic_cnn_step(f, chi, "post"),
-                                   conv2d(relu(f), chi, 1, PaddingMode.ZERO), atol=1e-13)
+                                   conv2d(relu(f), chi, 1), atol=1e-13)
         np.testing.assert_allclose(classic_cnn_step(f, chi, "pre"),
-                                   relu(conv2d(f, chi, 1, PaddingMode.ZERO)), atol=1e-13)
+                                   relu(conv2d(f, chi, 1)), atol=1e-13)
 
     def test_unknown_order_raises(self, rng):
         with pytest.raises(ContractViolation):

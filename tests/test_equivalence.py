@@ -7,7 +7,7 @@ from mgnet.equivalence_lab import (SUITE_TOLERANCE, EquivalenceReport,
                                    verify_dual_iresnet, verify_mgnet_mg0,
                                    verify_resnet_sigma_transform)
 from mgnet.classic_models import classic_cnn_step, sigma_resnet_step
-from mgnet.tensor_core import ConvKernel, PaddingMode, conv2d, relu
+from mgnet.tensor_core import ConvKernel, conv2d, relu
 
 from conftest import identity_kernel
 
@@ -71,7 +71,7 @@ class TestCnnEmbedding:
         delta_hat = pair_negating_kernel(channels)
         x = rng.standard_normal((5, 5, channels))
         stacked = np.concatenate([relu(x), relu(-x)], axis=2)
-        out = conv2d(stacked, delta_hat, 1, PaddingMode.ZERO)
+        out = conv2d(stacked, delta_hat, 1)
         np.testing.assert_allclose(out, -x, atol=1e-14)
 
     def test_identity_network_reduces_to_repeated_relu(self, rng):
@@ -91,8 +91,8 @@ class TestCnnEmbedding:
         eta = doubled_extractor(chi)
         assert eta.out_channels == 6 and eta.in_channels == 3
         f = rng.standard_normal((6, 6, 3))
-        full = conv2d(f, eta, 1, PaddingMode.ZERO)
-        top = conv2d(f, chi, 1, PaddingMode.ZERO) - f
+        full = conv2d(f, eta, 1)
+        top = conv2d(f, chi, 1) - f
         np.testing.assert_allclose(full[:, :, :3], top, atol=1e-13)
         np.testing.assert_allclose(full[:, :, 3:], -top, atol=1e-13)
 

@@ -9,11 +9,10 @@ from mgnet.data_io import LabeledImage
 from mgnet.mgnet_model import (KernelOperators, MgNetConfig, classify, count_params, f_in,
                                init_weights, mgnet_forward, parameter_shapes,
                                run_smoothing_sweep)
-from mgnet.tensor_core import (ContractViolation, ConvKernel, PaddingMode, conv2d, relu,
-                               softmax)
+from mgnet.tensor_core import ContractViolation, ConvKernel, conv2d, relu, softmax
 from mgnet.training import TrainConfig, train
 
-from conftest import identity_kernel
+from conftest import from_matrix, identity_kernel
 
 
 def no_bn(h):
@@ -74,8 +73,7 @@ class TestForward:
                 assert (np.asarray(value(u)) == 0).all()
         f_l = trace.f_levels[0]
         for l in (1, 2):
-            f_next = conv2d(np.asarray(value(f_l)), w.kernel(f"level{l}/restrict"), 2,
-                            PaddingMode.ZERO)
+            f_next = conv2d(np.asarray(value(f_l)), w.kernel(f"level{l}/restrict"), 2)
             np.testing.assert_array_equal(np.asarray(value(trace.f_levels[l])), f_next)
             f_l = f_next
 
@@ -105,18 +103,16 @@ class TestForward:
                 plain = ConvKernel(np.asarray(raw.weights), np.asarray(raw.bias))
                 if pi_variant == "pi2":
                     # one single-channel stencil applied to every channel
-                    grouped = ConvKernel.from_matrix(plain.weights[:, :, 0, 0], cfg.c_u)
+                    grouped = from_matrix(plain.weights[:, :, 0, 0], cfg.c_u)
                     grouped.bias[:] = plain.bias[0]
                     plain = grouped
-                expected_u0 = conv2d(u_l, plain, 2, PaddingMode.ZERO)
+                expected_u0 = conv2d(u_l, plain, 2)
             np.testing.assert_allclose(u_next0, expected_u0, atol=1e-13)
 
             f_l = np.asarray(value(trace.f_levels[l - 1]))
-            residual = f_l - conv2d(u_l, w.data_map_kernel(l), 1, PaddingMode.ZERO)
-            expected_f = (conv2d(residual, w.kernel(f"level{l}/restrict"), 2,
-                                 PaddingMode.ZERO)
-                          + conv2d(u_next0, w.data_map_kernel(l + 1), 1,
-                                   PaddingMode.ZERO))
+            residual = f_l - conv2d(u_l, w.data_map_kernel(l), 1)
+            expected_f = (conv2d(residual, w.kernel(f"level{l}/restrict"), 2)
+                          + conv2d(u_next0, w.data_map_kernel(l + 1), 1))
             np.testing.assert_allclose(np.asarray(value(trace.f_levels[l])),
                                        expected_f, atol=1e-12)
 
@@ -367,7 +363,7 @@ def old_order_forward(x, cfg, w, training=False):
     def conv(u, prefix, stride=1, weights=None, bias=None):
         kern = ConvKernel(param(f"{prefix}/weights") if weights is None else weights,
                           param(f"{prefix}/bias") if bias is None else bias)
-        return conv2d(u, kern, stride, PaddingMode.ZERO)
+        return conv2d(u, kern, stride)
 
     def bn(site, h):
         if not cfg.use_batchnorm:

@@ -4,12 +4,12 @@ import functools
 import numpy as np
 import pytest
 
-from mgnet.grid_transfer import ProlongationMode, prolongation_matrix
+from mgnet.grid_transfer import prolongate, prolongation_matrix, restrict_kr
 from mgnet.poisson_mg import (POISSON_STENCIL, PoissonHierarchy, backslash_mg, mg0,
                               smooth, solve_poisson)
-from mgnet.tensor_core import ContractViolation, ConvKernel, PaddingMode
+from mgnet.tensor_core import ContractViolation
 
-from conftest import reference_conv2d
+from conftest import from_matrix, reference_conv2d
 
 
 def dense_of(apply, m, n):
@@ -25,8 +25,8 @@ def dense_of(apply, m, n):
 @functools.lru_cache(maxsize=None)
 def reference_poisson(m):
     """Fine operator from the loop-based reference convolution; read-only."""
-    kern = ConvKernel.from_matrix(POISSON_STENCIL)
-    a = dense_of(lambda e: reference_conv2d(e[:, :, None], kern, 1, PaddingMode.ZERO), m, m)
+    kern = from_matrix(POISSON_STENCIL)
+    a = dense_of(lambda e: reference_conv2d(e[:, :, None], kern, 1), m, m)
     a.flags.writeable = False
     return a
 
@@ -80,8 +80,7 @@ class TestStencilOperator:
     def test_matches_reference_conv(self, rng):
         h = PoissonHierarchy(9, 9, 2)
         u = rng.standard_normal((9, 9))
-        via_reference = reference_conv2d(u[:, :, None], ConvKernel.from_matrix(POISSON_STENCIL),
-                                         1, PaddingMode.ZERO)[:, :, 0]
+        via_reference = reference_conv2d(u[:, :, None], from_matrix(POISSON_STENCIL), 1)[:, :, 0]
         np.testing.assert_allclose(h.apply(u, 1), via_reference, atol=1e-12)
 
     def test_shape_mismatch_raises(self):
@@ -137,7 +136,7 @@ class TestGalerkinCoarsening:
         for j in range(25):
             basis = np.zeros((5, 5))
             basis.flat[j] = 1.0
-            column = h.restrict(h.apply(h.prolong(basis), 1)).ravel()
+            column = restrict_kr(h.apply(prolongate(basis), 1)).ravel()
             np.testing.assert_allclose(coarse[:, j], column, atol=1e-12)
 
     def test_coarse_operator_symmetric(self):
@@ -159,7 +158,7 @@ class TestGalerkinCoarsening:
         a = reference_poisson(size)
         for l in range(2, levels + 1):
             m, n = h.sizes[l - 1]
-            p = prolongation_matrix(m, n, ProlongationMode.LINEAR)
+            p = prolongation_matrix(m, n)
             a = p.T @ a @ p
             coef = h.operator(l).coef
             assert coef.shape == (m, n, 3, 3)
@@ -239,7 +238,7 @@ class TestMg0:
             np.testing.assert_allclose(trace.f_levels[l - 1].ravel(), f_vec, atol=1e-12)
             if l < levels:
                 cm, cn = h.sizes[l]
-                p = prolongation_matrix(cm, cn, ProlongationMode.LINEAR)
+                p = prolongation_matrix(cm, cn)
                 f_vec = p.T @ (f_vec - a @ u_vec)
                 a = p.T @ a @ p
 
@@ -248,8 +247,8 @@ class TestMg0:
         h = PoissonHierarchy(17, 17, 3)
         trace = mg0(f, 3, [2, 2, 2], 0.8, h)
         for l in (1, 2):
-            recomputed = h.restrict(trace.f_levels[l - 1]
-                                    - h.apply(trace.u_iterates[l - 1][-1], l))
+            recomputed = restrict_kr(trace.f_levels[l - 1]
+                                     - h.apply(trace.u_iterates[l - 1][-1], l))
             np.testing.assert_array_equal(trace.f_levels[l], recomputed)
 
     def test_wrong_nu_length_raises(self):
