@@ -80,9 +80,10 @@ class TestBasics:
 
 
 class TestGradientsAgainstFiniteDifferences:
-    def test_conv_kernel_grad_of_mean_square(self, rng):
+    @pytest.mark.parametrize("batch", [(), (1,), (3,)], ids=["unbatched", "batch1", "batch3"])
+    def test_conv_kernel_grad_of_mean_square(self, rng, batch):
         # mean of squared conv outputs, differenced at step 1e-5
-        x = rng.standard_normal((6, 6, 2))
+        x = rng.standard_normal(batch + (6, 6, 2))
         w = Parameter("w", 0.4 * rng.standard_normal((3, 3, 3, 2)))
         b = Parameter("b", 0.1 * rng.standard_normal(3))
 
@@ -102,15 +103,18 @@ class TestGradientsAgainstFiniteDifferences:
     # tiny and odd grids, and a 5x5 kernel on a 2x3 grid: halos wider than the grid
     @pytest.mark.parametrize("m,n,kk", [(6, 6, 3), (1, 1, 3), (1, 4, 3), (2, 3, 3), (2, 3, 5)])
     @pytest.mark.parametrize("stride", [1, 2, 3])
-    def test_conv_weights_bias_input(self, rng, stride, m, n, kk):
-        x = Parameter("x", rng.standard_normal((m, n, 2)))
-        w = Parameter("w", 0.4 * rng.standard_normal((kk, kk, 3, 2)))
-        b = Parameter("b", 0.1 * rng.standard_normal(3))
-        probe = rng.standard_normal(3)
+    # channel-mixing, single-channel (the solver's transfers) and channel-reducing kernels
+    @pytest.mark.parametrize("c_in,c_out", [(2, 3), (1, 1), (3, 2)])
+    def test_conv_weights_bias_input(self, rng, c_in, c_out, stride, m, n, kk):
+        x = Parameter("x", rng.standard_normal((m, n, c_in)))
+        w = Parameter("w", 0.4 * rng.standard_normal((kk, kk, c_out, c_in)))
+        b = Parameter("b", 0.1 * rng.standard_normal(c_out))
+        # a fixed read-out to three classes keeps the loss non-constant at c_out = 1
+        readout = rng.standard_normal((c_out, 3))
 
         def build():
             out = ad.conv2d(x, ConvKernel(w, b), stride)
-            return ad.softmax_cross_entropy(ad.mul(ad.spatial_mean(out), probe),
+            return ad.softmax_cross_entropy(ad.affine(ad.spatial_mean(out), readout, np.zeros(3)),
                                             np.array([1.0, 0.0, 0.0]))
 
         for p in (w, b, x):

@@ -6,12 +6,16 @@ from mgnet.tensor_core import conv2d
 
 from conftest import from_matrix, restriction_matrix
 
+# square, wide and tall coarse grids, down to the smallest the solver meets
+COARSE_SHAPES = [(3, 4), (2, 2), (5, 3)]
+
 
 class TestProlongate:
-    def test_constant_preserved(self):
-        fine = prolongate(np.full((3, 4), 2.5))
-        assert fine.shape == (5, 7)
-        np.testing.assert_array_equal(fine, np.full((5, 7), 2.5))
+    @pytest.mark.parametrize("m,n", COARSE_SHAPES)
+    def test_constant_preserved(self, m, n):
+        fine = prolongate(np.full((m, n), 2.5))
+        assert fine.shape == (2 * m - 1, 2 * n - 1)
+        np.testing.assert_array_equal(fine, np.full((2 * m - 1, 2 * n - 1), 2.5))
 
     def test_linear_two_by_two_center(self):
         fine = prolongate(np.array([[1.0, 2.0], [3.0, 4.0]]))
@@ -19,10 +23,10 @@ class TestProlongate:
         np.testing.assert_array_equal(
             fine, [[1.0, 1.5, 2.0], [2.0, 2.5, 3.0], [3.0, 3.5, 4.0]])
 
-    def test_reproduces_linear_interpolants(self, rng):
+    @pytest.mark.parametrize("m,n", [(5, 4)] + COARSE_SHAPES)
+    def test_reproduces_linear_interpolants(self, rng, m, n):
         # nodal values of a + b*x + c*y prolongate to exactly the fine nodal values
         a, b, c = rng.standard_normal(3)
-        m, n = 5, 4
         ic, jc = np.meshgrid(np.arange(m), np.arange(n), indexing="ij")
         coarse = a + b * ic + c * jc
         i_f, j_f = np.meshgrid(np.arange(2 * m - 1) / 2, np.arange(2 * n - 1) / 2,
@@ -30,8 +34,9 @@ class TestProlongate:
         want = a + b * i_f + c * j_f
         np.testing.assert_allclose(prolongate(coarse), want, atol=1e-12)
 
-    def test_nodal_restriction_roundtrip(self, rng):
-        coarse = rng.standard_normal((4, 5))
+    @pytest.mark.parametrize("m,n", [(4, 5)] + COARSE_SHAPES)
+    def test_nodal_restriction_roundtrip(self, rng, m, n):
+        coarse = rng.standard_normal((m, n))
         np.testing.assert_array_equal(prolongate(coarse)[::2, ::2], coarse)
 
 
@@ -46,6 +51,15 @@ class TestRestrictKr:
         p = prolongation_matrix(m, n)
         r = restriction_matrix(2 * m - 1, 2 * n - 1)
         np.testing.assert_array_equal(r, p.T)
+
+    @pytest.mark.parametrize("coarse_shape", [(3, 3), (5, 5), (3, 5), (4, 3), (5, 4)])
+    def test_adjoint_of_prolongate(self, rng, coarse_shape):
+        # <restrict_kr(f), u> = <f, prolongate(u)> on the grids themselves, no matrices
+        m, n = coarse_shape
+        u = rng.standard_normal((m, n))
+        f = rng.standard_normal((2 * m - 1, 2 * n - 1))
+        np.testing.assert_allclose(np.vdot(restrict_kr(f), u), np.vdot(f, prolongate(u)),
+                                   rtol=1e-12, atol=1e-12)
 
     def test_stride1_delta_reads_back_kernel(self):
         # convolving a centered delta at stride 1 reproduces the kernel pattern

@@ -6,6 +6,17 @@ from mgnet.poisson_mg import POISSON_STENCIL
 
 from conftest import from_matrix, identity_kernel, reference_conv2d
 
+# a single (h, w, c) sample, and (b, h, w, c) batches as the networks pass them
+BATCHES = [(), (1,), (3,)]
+BATCH_IDS = ["unbatched", "batch1", "batch3"]
+
+
+def batched_reference(x, kern, stride):
+    """`reference_conv2d` applied to each sample of a batch."""
+    if x.ndim == 3:
+        return reference_conv2d(x, kern, stride)
+    return np.stack([reference_conv2d(sample, kern, stride) for sample in x])
+
 
 class TestConv2d:
     def test_identity_kernel_is_identity(self, rng):
@@ -41,16 +52,18 @@ class TestConv2d:
     # tiny and odd grids, and a 5x5 kernel on a 2x3 grid: halos wider than the grid
     @pytest.mark.parametrize("m,n,kk", [(7, 7, 3), (1, 1, 3), (1, 4, 3), (2, 3, 3), (2, 3, 5)])
     @pytest.mark.parametrize("stride", [1, 2, 3])
-    def test_matches_bruteforce_reference(self, rng, stride, m, n, kk):
-        x = rng.standard_normal((m, n, 3))
+    @pytest.mark.parametrize("batch", BATCHES, ids=BATCH_IDS)
+    def test_matches_bruteforce_reference(self, rng, batch, stride, m, n, kk):
+        x = rng.standard_normal(batch + (m, n, 3))
         kern = ConvKernel(rng.standard_normal((kk, kk, 4, 3)), rng.standard_normal(4))
         got = conv2d(x, kern, stride)
-        want = reference_conv2d(x, kern, stride)
+        want = batched_reference(x, kern, stride)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
-    def test_linearity_without_bias(self, rng):
-        x = rng.standard_normal((6, 5, 2))
-        y = rng.standard_normal((6, 5, 2))
+    @pytest.mark.parametrize("batch", BATCHES, ids=BATCH_IDS)
+    def test_linearity_without_bias(self, rng, batch):
+        x = rng.standard_normal(batch + (6, 5, 2))
+        y = rng.standard_normal(batch + (6, 5, 2))
         kern = ConvKernel(rng.standard_normal((3, 3, 3, 2)), np.zeros(3))
         a, b = 1.7, -0.4
         lhs = conv2d(a * x + b * y, kern, 1)
@@ -58,12 +71,13 @@ class TestConv2d:
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("stride", [2, 3])
-    def test_stride_equals_subsampled_stride_one(self, rng, stride):
-        x = rng.standard_normal((9, 8, 2))
+    @pytest.mark.parametrize("batch", BATCHES, ids=BATCH_IDS)
+    def test_stride_equals_subsampled_stride_one(self, rng, batch, stride):
+        x = rng.standard_normal(batch + (9, 8, 2))
         kern = ConvKernel(rng.standard_normal((3, 3, 2, 2)), rng.standard_normal(2))
         full = conv2d(x, kern, 1)
         # identical sums up to contraction order inside einsum
-        np.testing.assert_allclose(full[::stride, ::stride],
+        np.testing.assert_allclose(full[..., ::stride, ::stride, :],
                                    conv2d(x, kern, stride),
                                    rtol=1e-12, atol=1e-13)
 
