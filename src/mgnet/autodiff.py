@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor_core import (ContractViolation, _conv_forward, _conv_grad_input,
-                          _conv_grad_weights, _max_forward, _max_grad_input, _with_batch,
-                          softmax)
+from .tensor_core import (ContractViolation, _batch, _conv_forward, _conv_grad_input,
+                          _conv_grad_weights, _max_forward, _max_grad_input, softmax)
 
 _TAPE_STACK: list = []
 
@@ -206,7 +205,7 @@ def relu(x):
 
 
 def conv2d(x, kernel, stride: int = 1):
-    """Differentiable counterpart of tensor_core.conv2d; accepts a batch axis.
+    """Differentiable counterpart of tensor_core.conv2d on (batch, h, w, c).
 
     An input that is not a traced node (the images) gets no gradient.
     """
@@ -215,24 +214,17 @@ def conv2d(x, kernel, stride: int = 1):
     traced_input = isinstance(x, Node)
 
     def forward(xd, wd, bd):
-        xb, squeeze = _with_batch(np.asarray(xd))
-        if xb.shape[-1] != wd.shape[3]:
+        xd = _batch(xd)
+        if xd.shape[-1] != wd.shape[3]:
             raise ContractViolation(
-                f"input has {xb.shape[-1]} channels but kernel expects {wd.shape[3]}")
-        out = _conv_forward(xb, wd, bd, stride)
+                f"input has {xd.shape[-1]} channels but kernel expects {wd.shape[3]}")
         k = (wd.shape[0] - 1) // 2
 
         def vjp(g):
-            gb = g[None] if squeeze else g
-            gx = None
-            if traced_input:
-                gx = _conv_grad_input(gb, wd, xb.shape, stride)
-                gx = gx[0] if squeeze else gx
-            gw = _conv_grad_weights(xb, gb, k, stride)
-            gbias = gb.sum(axis=(0, 1, 2))
-            return gx, gw, gbias
+            gx = _conv_grad_input(g, wd, xd.shape, stride) if traced_input else None
+            return gx, _conv_grad_weights(xd, g, k, stride), g.sum(axis=(0, 1, 2))
 
-        return (out[0] if squeeze else out), vjp
+        return _conv_forward(xd, wd, bd, stride), vjp
 
     return _emit((x, kernel.weights, kernel.bias), forward, op="conv2d")
 
@@ -261,45 +253,40 @@ def max_pool(x, k: int = 1, stride: int = 2):
         raise ContractViolation(f"stride must be >= 1, got {stride}")
 
     def forward(xd):
-        xb, squeeze = _with_batch(np.asarray(xd))
-        out, tap = _max_forward(xb, k, stride)
-
-        def vjp(g):
-            gx = _max_grad_input(g[None] if squeeze else g, tap, xb.shape, k, stride)
-            return (gx[0] if squeeze else gx,)
-
-        return (out[0] if squeeze else out), vjp
+        xd = _batch(xd)
+        out, tap = _max_forward(xd, k, stride)
+        return out, lambda g: (_max_grad_input(g, tap, xd.shape, k, stride),)
 
     return _emit((x,), forward, op="max_pool")
 
 
 def spatial_mean(x):
-    """Average over the spatial axes: (h, w, c) -> (c,) or (b, h, w, c) -> (b, c)."""
+    """Average over the spatial axes: (b, h, w, c) -> (b, c)."""
     def forward(xd):
-        xd = np.asarray(xd)
-        axes = (0, 1) if xd.ndim == 3 else (1, 2)
-        denom = xd.shape[axes[0]] * xd.shape[axes[1]]
-        out = xd.mean(axis=axes)
+        xd = _batch(xd)
+        shape = xd.shape
+        denom = shape[1] * shape[2]
 
         def vjp(g):
-            if xd.ndim == 3:
-                full = np.broadcast_to(g[None, None, :] / denom, xd.shape)
-            else:
-                full = np.broadcast_to(g[:, None, None, :] / denom, xd.shape)
-            return (np.ascontiguousarray(full),)
+            return (np.ascontiguousarray(np.broadcast_to(g[:, None, None, :] / denom, shape)),)
 
-        return out, vjp
+        return xd.mean(axis=(1, 2)), vjp
     return _emit((x,), forward, op="spatial_mean")
 
 
+def _rows(x) -> np.ndarray:
+    """`x` as an array, which must be (batch, features)."""
+    x = np.asarray(x)
+    if x.ndim != 2:
+        raise ContractViolation(f"expected (batch, features), got shape {x.shape}")
+    return x
+
+
 def affine(x, w, b):
-    """x @ w + b for a feature vector or a batch of them."""
+    """x @ w + b for a (batch, features) x."""
     def forward(xd, wd, bd):
-        xd = np.asarray(xd)
-        out = xd @ wd + bd
-        if xd.ndim == 1:
-            return out, lambda g: (g @ wd.T, np.outer(xd, g), g)
-        return out, lambda g: (g @ wd.T, xd.T @ g, g.sum(axis=0))
+        xd = _rows(xd)
+        return xd @ wd + bd, lambda g: (g @ wd.T, xd.T @ g, g.sum(axis=0))
     return _emit((x, w, b), forward, op="affine")
 
 
@@ -375,11 +362,10 @@ def vector_index(v, i: int):
 
 
 def softmax_cross_entropy(logits, labels):
-    """Mean cross-entropy of softmax(logits) against one-hot labels (fused)."""
-    def forward(zd, yd):
-        zd, yd = np.asarray(zd), np.asarray(yd)
-        z = zd[None] if zd.ndim == 1 else zd
-        y = yd[None] if yd.ndim == 1 else yd
+    """Mean cross-entropy of softmax(logits) against one-hot labels (fused);
+    both are (batch, classes)."""
+    def forward(z, y):
+        z, y = _rows(z), np.asarray(y)
         zmax = z.max(axis=1, keepdims=True)
         e = np.exp(z - zmax)
         total = e.sum(axis=1, keepdims=True)
@@ -387,8 +373,7 @@ def softmax_cross_entropy(logits, labels):
         p = e / total
 
         def vjp(g):
-            gz = g * (p - y) / z.shape[0]
-            return (gz[0] if zd.ndim == 1 else gz), None
+            return g * (p - y) / z.shape[0], None
 
         return out, vjp
     return _emit((logits, labels), forward, op="softmax_cross_entropy")

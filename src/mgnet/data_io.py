@@ -39,16 +39,17 @@ def _parse_cifar(data: bytes, path, label_bytes: int, classes: int):
         raise FormatError(
             f"{path}: truncated file, {len(data) % record} trailing bytes after "
             f"offset {len(data) - len(data) % record}")
-    images = []
-    for start in range(0, len(data), record):
-        label = data[start + label_bytes - 1]  # fine label is the last label byte
-        if label >= classes:
-            raise FormatError(f"{path}: label {label} out of range at offset {start}")
-        planes = np.frombuffer(data, dtype=np.uint8, count=3 * 1024,
-                               offset=start + label_bytes)
-        image = planes.reshape(3, 32, 32).transpose(1, 2, 0).astype(np.float64) / 255.0
-        images.append(LabeledImage(image, int(label)))
-    return images
+    records = np.frombuffer(data, dtype=np.uint8).reshape(-1, record)
+    labels = records[:, label_bytes - 1]  # fine label is the last label byte
+    bad = np.flatnonzero(labels >= classes)
+    if bad.size:
+        raise FormatError(f"{path}: label {labels[bad[0]]} out of range at offset "
+                          f"{bad[0] * record}")
+    # (n, 3, 32, 32) channel planes -> (n, 32, 32, 3) pixels, one C-contiguous image each
+    pixels = records[:, label_bytes:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
+    images = pixels.astype(np.float64, order="C")
+    images /= 255.0
+    return [LabeledImage(image, int(label)) for image, label in zip(images, labels)]
 
 
 def load_cifar10(path) -> list:

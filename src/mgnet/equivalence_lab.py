@@ -80,7 +80,7 @@ class _LinearMgOperators:
         cm, cn = self.h.sizes[level]
         if self.pi_kernel is None:
             return np.zeros((cm, cn))
-        return conv2d(u[:, :, None], self.pi_kernel, 2)[:, :, 0]
+        return conv2d(u[None, :, :, None], self.pi_kernel, 2)[0, :, :, 0]
 
 
 def verify_mgnet_mg0(size: int = 17, levels: int = 3, nu=(2, 2, 2), omega: float = 0.8,
@@ -133,7 +133,7 @@ def verify_dual_iresnet(seed: int = 0, levels: int = 3, nu=(3, 3, 3), channels: 
     for name, p in weights.params.items():
         if name.endswith("/bias"):
             p.data = 0.3 * rng.standard_normal(p.data.shape)
-    x = rng.standard_normal((size, size, 3))
+    x = rng.standard_normal((1, size, size, 3))
     _, trace = mgnet_forward(x, cfg, weights)
 
     worst = 0.0
@@ -164,7 +164,7 @@ def verify_resnet_sigma_transform(block_count: int = 4, channels: int = 8,
     kernels = [(_rand_kernel(rng, 1, channels, channels, 0.4),
                 _rand_kernel(rng, 1, channels, channels, 0.4))
                for _ in range(block_count)]
-    f = rng.standard_normal((size, size, channels))
+    f = rng.standard_normal((1, size, size, channels))
 
     worst = 0.0
     instances = 0
@@ -222,8 +222,8 @@ def verify_cnn_embedding(layers: int = 2, channels: int = 3, size: int = 6,
     # kernel identity on random tensors: the fixed map recombines the two
     # half-rectifications of x into -x exactly
     for _ in range(3):
-        x = rng.standard_normal((size, size, channels))
-        stacked = np.concatenate([relu(x), relu(-x)], axis=2)
+        x = rng.standard_normal((1, size, size, channels))
+        stacked = np.concatenate([relu(x), relu(-x)], axis=-1)
         out = conv2d(stacked, delta_hat, 1)
         worst = max(worst, float(np.abs(out - (-x)).max()))
         instances += 1
@@ -231,7 +231,7 @@ def verify_cnn_embedding(layers: int = 2, channels: int = 3, size: int = 6,
     chis = [_rand_kernel(rng, 1, channels, channels, 0.5) for _ in range(layers)]
     extractors = [doubled_extractor(chi) for chi in chis]
 
-    f_plain = rng.standard_normal((size, size, channels))
+    f_plain = rng.standard_normal((1, size, size, channels))
     f_embed = f_plain
     for chi, eta in zip(chis, extractors):
         f_plain = classic_cnn_step(f_plain, chi, "post")
@@ -239,7 +239,7 @@ def verify_cnn_embedding(layers: int = 2, channels: int = 3, size: int = 6,
         worst = max(worst, float(np.abs(f_plain - f_embed).max()))
         instances += 1
 
-    g_plain = rng.standard_normal((size, size, channels))
+    g_plain = rng.standard_normal((1, size, size, channels))
     g_embed = g_plain
     for chi, eta in zip(chis, extractors):
         g_plain = classic_cnn_step(g_plain, chi, "pre")

@@ -43,7 +43,7 @@ def restrict_kr(fine: np.ndarray) -> np.ndarray:
     On (2M-1, 2N-1) grids this is exactly the transpose of `prolongate`.
     """
     kern = ConvKernel(RESTRICT_LINEAR[:, :, None, None], np.zeros(1))
-    return conv2d(np.asarray(fine, dtype=float)[:, :, None], kern, stride=2)[:, :, 0]
+    return conv2d(np.asarray(fine, dtype=float)[None, :, :, None], kern, stride=2)[0, :, :, 0]
 
 
 def prolongation_matrix(m: int, n: int) -> np.ndarray:

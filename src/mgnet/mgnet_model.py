@@ -245,8 +245,9 @@ class MgNetTrace:
 
 
 def _spatial(x) -> tuple:
+    """The (h, w) grid of (batch, h, w, c) features; () once averaged to (batch, c)."""
     d = value(x)
-    return d.shape[-3:-1] if d.ndim >= 3 else ()
+    return d.shape[1:3] if d.ndim == 4 else ()
 
 
 def run_smoothing_sweep(f1, nu, ops, variant: str = "single"):
@@ -380,9 +381,8 @@ class KernelOperators:
             return ad.spatial_mean(u)
         if cfg.pi_variant == "pi0":
             d = value(u)
-            m, n = d.shape[-3], d.shape[-2]
-            shape = d.shape[:-3] + (-(-m // 2), -(-n // 2), d.shape[-1])
-            return np.zeros(shape, dtype=d.dtype)
+            b, m, n, c = d.shape
+            return np.zeros((b, -(-m // 2), -(-n // 2), c), dtype=d.dtype)
         kern = self.w.kernel(f"level{level}/pi")
         if cfg.pi_variant == "pi2":
             # expand the single trainable channel to a grouped kernel:
@@ -420,13 +420,11 @@ def mgnet_forward(f, cfg: MgNetConfig, weights: MgNetWeights, training: bool = F
 
 def logits(u_final, weights: MgNetWeights):
     """Spatial average (when still spatial) then the affine head."""
-    v = u_final
-    if value(u_final).ndim >= 3:
-        v = ad.spatial_mean(u_final)
+    v = ad.spatial_mean(u_final) if _spatial(u_final) else u_final
     return ad.affine(v, weights.params["head/weights"], weights.params["head/bias"])
 
 
 def classify(u_final, weights: MgNetWeights) -> np.ndarray:
-    """Class probabilities from final features: (classes,) per image, (b, classes) per batch."""
+    """Class probabilities (batch, classes) from final features."""
     return softmax(value(logits(u_final, weights)))
 

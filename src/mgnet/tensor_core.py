@@ -2,10 +2,10 @@
 
 Conventions used throughout the package:
 
-* A tensor is a float64 ``numpy.ndarray`` of shape ``(height, width,
-  channels)``.  Row index = vertical position, column index = horizontal
-  position, third axis = channel.  Batched code may prepend a leading batch
-  axis; every function here accepts ``(h, w, c)`` or ``(batch, h, w, c)``.
+* A tensor is a float64 ``numpy.ndarray`` of shape ``(batch, height, width,
+  channels)``: the one layout of the convolution core and the network stack.
+  Row index = vertical position, column index = horizontal position, last
+  axis = channel.  A single image is a batch of one, ``x[None]``.
 * A convolution kernel of half-width ``k`` has weights of shape
   ``(2k+1, 2k+1, out_channels, in_channels)``.  ``weights[k+p, k+q, t, i]``
   multiplies the input sample at vertical offset ``p`` and horizontal offset
@@ -158,21 +158,21 @@ def _max_grad_input(grad_out: np.ndarray, tap: np.ndarray, in_shape, k: int,
     return _unpad(gp, k)
 
 
-def _with_batch(x: np.ndarray):
-    if x.ndim == 3:
-        return x[None], True
-    if x.ndim == 4:
-        return x, False
-    raise ContractViolation(f"expected (h, w, c) or (batch, h, w, c), got shape {x.shape}")
+def _batch(x) -> np.ndarray:
+    """`x` as an array, which must be (batch, h, w, c)."""
+    x = np.asarray(x)
+    if x.ndim != 4:
+        raise ContractViolation(f"expected (batch, h, w, c), got shape {x.shape}")
+    return x
 
 
 def conv2d(input: Tensor, kernel: ConvKernel, stride: int = 1) -> Tensor:
     """Multichannel convolution with stride and zero padding.
 
     Output channel ``t`` is ``sum_i K[i,t] * input[i] + bias[t]``; the output
-    is ``ceil(h/stride) x ceil(w/stride) x out_channels``.
+    is ``(batch, ceil(h/stride), ceil(w/stride), out_channels)``.
     """
-    x, squeeze = _with_batch(np.asarray(input))
+    x = _batch(input)
     if x.size == 0:
         raise ContractViolation("empty input tensor")
     if stride < 1:
@@ -180,8 +180,7 @@ def conv2d(input: Tensor, kernel: ConvKernel, stride: int = 1) -> Tensor:
     if x.shape[-1] != kernel.in_channels:
         raise ContractViolation(
             f"input has {x.shape[-1]} channels but kernel expects {kernel.in_channels}")
-    out = _conv_forward(x, np.asarray(kernel.weights), np.asarray(kernel.bias), stride)
-    return out[0] if squeeze else out
+    return _conv_forward(x, np.asarray(kernel.weights), np.asarray(kernel.bias), stride)
 
 
 def relu(input: Tensor) -> Tensor:

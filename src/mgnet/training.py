@@ -9,7 +9,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, backward, value
 from .mgnet_model import MgNetConfig, MgNetWeights, init_weights, logits, mgnet_forward
-from .tensor_core import ContractViolation
+from .tensor_core import ContractViolation, _check_count
 
 
 @dataclass
@@ -30,13 +30,9 @@ class TrainConfig:
                 f"learning rate must be positive and finite, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ContractViolation("momentum must lie in [0, 1)")
-        if self.batch_size < 1:
-            raise ContractViolation("batch size must be >= 1")
-        if self.epochs < 1:
-            raise ContractViolation(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr_decay_every < 1:
-            raise ContractViolation(
-                f"lr_decay_every must be >= 1 epoch, got {self.lr_decay_every}")
+        for name, minimum in (("batch_size", 1), ("epochs", 1), ("lr_decay_every", 1),
+                              ("seed", 0)):
+            _check_count(name, getattr(self, name), minimum)
 
     def lr_at(self, epoch: int) -> float:
         """Learning rate for a 1-based epoch index (divided every decay period)."""
@@ -95,13 +91,17 @@ def _forward_logits(images, cfg, weights, training):
     return logits(u, weights)
 
 
-def evaluate(cfg: MgNetConfig, weights: MgNetWeights, dataset, batch_size: int = 64):
+# images per forward in `evaluate`
+EVAL_BATCH = 64
+
+
+def evaluate(cfg: MgNetConfig, weights: MgNetWeights, dataset):
     """(mean cross-entropy, accuracy) over a dataset in evaluation mode."""
     check_dataset(cfg, dataset)
     total_loss = 0.0
     correct = 0
-    for start in range(0, len(dataset), batch_size):
-        chunk = dataset[start:start + batch_size]
+    for start in range(0, len(dataset), EVAL_BATCH):
+        chunk = dataset[start:start + EVAL_BATCH]
         images, labels = _stack_batch(chunk)
         z = value(_forward_logits(images, cfg, weights, training=False))
         loss = ad.softmax_cross_entropy(z, _one_hot(labels, cfg.classes))

@@ -178,7 +178,7 @@ def test_criterion_7_variant_degeneracy():
         if name.endswith("/omega"):
             p.data = np.array(1.0)
 
-    x = np.random.default_rng(5).standard_normal((9, 9, 1))
+    x = np.random.default_rng(5).standard_normal((1, 9, 9, 1))
     _, trace_single = mgnet_forward(x, cfg_s, w_s)
     _, trace_multi = mgnet_forward(x, cfg_m, w_m)
     _, trace_cheby = mgnet_forward(x, cfg_c, w_c)

@@ -4,8 +4,8 @@ import pytest
 from mgnet import autodiff as ad
 from mgnet.autodiff import Node, Parameter, Tape, backward, value
 from mgnet.data_io import gen_synthetic
-from mgnet.mgnet_model import MgNetConfig, init_weights
-from mgnet.tensor_core import ContractViolation, ConvKernel
+from mgnet.mgnet_model import MgNetConfig, init_weights, mgnet_forward
+from mgnet.tensor_core import ContractViolation, ConvKernel, conv2d
 
 from conftest import identity_kernel, mean_all, reference_backward, traced_loss
 
@@ -48,19 +48,19 @@ class TestBasics:
         np.testing.assert_array_equal(g, [0.0, 0.0, 1.0])
 
     def test_fused_softmax_cross_entropy_gradient(self):
-        z = Parameter("z", np.zeros(4))
-        y = np.array([1.0, 0.0, 0.0, 0.0])
+        z = Parameter("z", np.zeros((1, 4)))
+        y = np.array([[1.0, 0.0, 0.0, 0.0]])
         with Tape() as tape:
             loss = ad.softmax_cross_entropy(z, y)
         g = backward(tape, loss)["z"]
-        np.testing.assert_allclose(g, [0.25 - 1.0, 0.25, 0.25, 0.25], atol=1e-14)
+        np.testing.assert_allclose(g, [[0.25 - 1.0, 0.25, 0.25, 0.25]], atol=1e-14)
 
     def test_disconnected_parameter_gets_zeros(self):
-        z = Parameter("z", np.zeros(3))
+        z = Parameter("z", np.zeros((1, 3)))
         unused = Parameter("unused", np.ones(4))
         with Tape() as tape:
             _ = unused * 2.0
-            loss = ad.softmax_cross_entropy(z, np.array([1.0, 0.0, 0.0]))
+            loss = ad.softmax_cross_entropy(z, np.array([[1.0, 0.0, 0.0]]))
         g = backward(tape, loss)
         np.testing.assert_array_equal(g["unused"], np.zeros(4))
 
@@ -86,6 +86,10 @@ class TestGradientsAgainstFiniteDifferences:
         x = rng.standard_normal(batch + (6, 6, 2))
         w = Parameter("w", 0.4 * rng.standard_normal((3, 3, 3, 2)))
         b = Parameter("b", 0.1 * rng.standard_normal(3))
+        if x.ndim == 3:  # a single image is refused bare and goes in as a batch of one
+            with pytest.raises(ContractViolation, match=r"expected \(batch, h, w, c\)"):
+                ad.conv2d(x, ConvKernel(w, b), 1)
+            x = x[None]
 
         def build():
             out = ad.conv2d(x, ConvKernel(w, b), 1)
@@ -106,7 +110,7 @@ class TestGradientsAgainstFiniteDifferences:
     # channel-mixing, single-channel (the solver's transfers) and channel-reducing kernels
     @pytest.mark.parametrize("c_in,c_out", [(2, 3), (1, 1), (3, 2)])
     def test_conv_weights_bias_input(self, rng, c_in, c_out, stride, m, n, kk):
-        x = Parameter("x", rng.standard_normal((m, n, c_in)))
+        x = Parameter("x", rng.standard_normal((1, m, n, c_in)))
         w = Parameter("w", 0.4 * rng.standard_normal((kk, kk, c_out, c_in)))
         b = Parameter("b", 0.1 * rng.standard_normal(c_out))
         # a fixed read-out to three classes keeps the loss non-constant at c_out = 1
@@ -115,17 +119,17 @@ class TestGradientsAgainstFiniteDifferences:
         def build():
             out = ad.conv2d(x, ConvKernel(w, b), stride)
             return ad.softmax_cross_entropy(ad.affine(ad.spatial_mean(out), readout, np.zeros(3)),
-                                            np.array([1.0, 0.0, 0.0]))
+                                            np.array([[1.0, 0.0, 0.0]]))
 
         for p in (w, b, x):
             check_param(build, p)
 
     def test_max_pool(self, rng):
-        x = Parameter("x", rng.standard_normal((7, 7, 2)))
+        x = Parameter("x", rng.standard_normal((1, 7, 7, 2)))
 
         def build():
             return ad.softmax_cross_entropy(ad.spatial_mean(ad.max_pool(x, 1, 2)),
-                                            np.array([1.0, 0.0]))
+                                            np.array([[1.0, 0.0]]))
 
         check_param(build, x)
 
@@ -133,30 +137,47 @@ class TestGradientsAgainstFiniteDifferences:
         # on a constant positive input every in-range tap ties; zero padding
         # loses, so each window's gradient lands once, on its first in-range
         # tap in row-major order
-        x = Parameter("x", np.full((7, 6, 2), 1.5))
-        probe = rng.standard_normal((4, 3, 2))
+        x = Parameter("x", np.full((1, 7, 6, 2), 1.5))
+        probe = rng.standard_normal((1, 4, 3, 2))
         grad = analytic_grads(lambda: mean_all(ad.mul(ad.max_pool(x, 1, 2), probe)))["x"]
         want = np.zeros_like(x.data)
         for i in range(4):
             for j in range(3):
-                want[max(2 * i - 1, 0), max(2 * j - 1, 0)] += probe[i, j] * (1.0 / probe.size)
+                want[0, max(2 * i - 1, 0), max(2 * j - 1, 0)] += (probe[0, i, j]
+                                                                  * (1.0 / probe.size))
         np.testing.assert_array_equal(grad, want)
 
     @pytest.mark.parametrize("stride", [0, -1])
     def test_bad_stride_raises(self, rng, stride):
-        x = rng.standard_normal((5, 5, 1))
+        x = rng.standard_normal((1, 5, 5, 1))
         with pytest.raises(ContractViolation):
             ad.conv2d(x, identity_kernel(1), stride)
         with pytest.raises(ContractViolation):
             ad.max_pool(x, 1, stride)
 
-    @pytest.mark.parametrize("shape", [(5, 5), (1, 1, 5, 5, 1)], ids=["rank2", "rank5"])
+    @pytest.mark.parametrize("shape", [(5, 5), (5, 5, 1), (1, 1, 5, 5, 1)],
+                             ids=["rank2", "rank3", "rank5"])
     def test_bad_rank_raises(self, rng, shape):
+        # (batch, h, w, c) is the one layout of the conv, pooling and network ops
+        cfg = MgNetConfig(J=2, nu=(1, 1), c_u=2, c_f=2, in_channels=1, classes=2)
+        ops = [lambda x: conv2d(x, identity_kernel(1), 1),
+               lambda x: ad.conv2d(x, identity_kernel(1), 1),
+               lambda x: ad.max_pool(x, 1, 2),
+               ad.spatial_mean,
+               lambda x: mgnet_forward(x, cfg, init_weights(cfg))]
         x = rng.standard_normal(shape)
-        with pytest.raises(ContractViolation):
-            ad.conv2d(x, identity_kernel(1), 1)
-        with pytest.raises(ContractViolation):
-            ad.max_pool(x, 1, 2)
+        for op in ops:
+            with pytest.raises(ContractViolation, match=r"expected \(batch, h, w, c\), got"):
+                op(x)
+            op(x.reshape(1, 5, 5, 1))  # the same pixels as a batch of one pass
+
+    def test_head_ops_take_rows(self, rng):
+        # a feature vector must be a batch of one: x.T @ g of a 1-D x is a scalar
+        x = Parameter("x", rng.standard_normal(3))
+        with pytest.raises(ContractViolation, match=r"expected \(batch, features\)"):
+            ad.affine(x, rng.standard_normal((3, 3)), np.zeros(3))
+        with pytest.raises(ContractViolation, match=r"expected \(batch, features\)"):
+            ad.softmax_cross_entropy(x, np.array([1.0, 0.0, 0.0]))
 
     def test_batchnorm(self, rng):
         x = Parameter("x", rng.standard_normal((4, 5, 5, 3)))
@@ -202,8 +223,8 @@ class TestGradientsAgainstFiniteDifferences:
 
         def build():
             p = ad.softmax_vector(v)
-            picked = ad.mul(ad.vector_index(p, 1), np.ones(2))
-            return ad.softmax_cross_entropy(picked, np.array([1.0, 0.0]))
+            picked = ad.mul(ad.vector_index(p, 1), np.ones((1, 2)))
+            return ad.softmax_cross_entropy(picked, np.array([[1.0, 0.0]]))
 
         check_param(build, v)
 
@@ -223,7 +244,7 @@ class TestGradientsAgainstFiniteDifferences:
 class TestConvAndBatchnormWork:
     def test_conv_of_zeros_matches_conv_bitwise(self, rng):
         kern = ConvKernel(rng.standard_normal((3, 3, 4, 2)), rng.standard_normal(4))
-        for shape in ((5, 6, 2), (3, 5, 6, 2)):
+        for shape in ((1, 5, 6, 2), (3, 5, 6, 2)):
             zeros = np.zeros(shape)
             assert (ad.conv2d_of_zeros(shape, kern).tobytes()
                     == ad.conv2d(zeros, kern, 1).tobytes())
@@ -271,18 +292,18 @@ class TestConvAndBatchnormWork:
 class TestMaxPoolValues:
     # plain arrays: no tape records, the op returns the array
     def test_max_constant_nonnegative(self):
-        x = np.full((6, 6, 2), 3.0)
-        np.testing.assert_array_equal(ad.max_pool(x, 1, 2), np.full((3, 3, 2), 3.0))
+        x = np.full((1, 6, 6, 2), 3.0)
+        np.testing.assert_array_equal(ad.max_pool(x, 1, 2), np.full((1, 3, 3, 2), 3.0))
 
     def test_max_window_example(self):
-        x = np.arange(1.0, 17.0).reshape(4, 4)[:, :, None]
-        np.testing.assert_array_equal(ad.max_pool(x, 1, 2)[:, :, 0],
+        x = np.arange(1.0, 17.0).reshape(4, 4)[None, :, :, None]
+        np.testing.assert_array_equal(ad.max_pool(x, 1, 2)[0, :, :, 0],
                                       [[6.0, 8.0], [14.0, 16.0]])
 
     def test_max_zero_padding_caps_negative_borders(self):
-        x = np.full((4, 4, 1), -5.0)
+        x = np.full((1, 4, 4, 1), -5.0)
         # border windows include padded zeros; the interior window does not
-        np.testing.assert_array_equal(ad.max_pool(x, 1, 2)[:, :, 0],
+        np.testing.assert_array_equal(ad.max_pool(x, 1, 2)[0, :, :, 0],
                                       [[0.0, 0.0], [0.0, -5.0]])
 
 

@@ -46,7 +46,7 @@ def test_traced_training_step_and_eval():
     tracer.active = True
     try:
         result = train(cfg, TrainConfig(epochs=1, batch_size=8, learning_rate=0.02), data)
-        evaluate(cfg, result.weights, data, batch_size=8)
+        evaluate(cfg, result.weights, data)
     finally:
         tracer.active = False
         tracer.uninstall()

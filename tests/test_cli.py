@@ -235,7 +235,7 @@ class TestTrainEvalCommands:
 
     def test_zero_epochs_is_usage_error(self, tmp_path, capsys):
         assert run_cli(["train", "--epochs", "0", "--out", str(tmp_path / "run")]) == 2
-        assert "error: epochs must be >= 1" in capsys.readouterr().err
+        assert "error: epochs must be an integer >= 1, got 0" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_training_is_check_failure(self, tmp_path, capsys):

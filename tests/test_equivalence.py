@@ -69,8 +69,8 @@ class TestCnnEmbedding:
     def test_pair_kernel_identity(self, rng):
         channels = 4
         delta_hat = pair_negating_kernel(channels)
-        x = rng.standard_normal((5, 5, channels))
-        stacked = np.concatenate([relu(x), relu(-x)], axis=2)
+        x = rng.standard_normal((1, 5, 5, channels))
+        stacked = np.concatenate([relu(x), relu(-x)], axis=-1)
         out = conv2d(stacked, delta_hat, 1)
         np.testing.assert_allclose(out, -x, atol=1e-14)
 
@@ -79,7 +79,7 @@ class TestCnnEmbedding:
         chi = identity_kernel(channels)
         delta_hat = pair_negating_kernel(channels)
         eta = doubled_extractor(chi)
-        f = rng.standard_normal((5, 5, channels))
+        f = rng.standard_normal((1, 5, 5, channels))
         plain = classic_cnn_step(f, chi, "post")
         embedded = sigma_resnet_step(f, delta_hat, eta)
         np.testing.assert_allclose(plain, relu(f), atol=1e-14)
@@ -90,11 +90,11 @@ class TestCnnEmbedding:
                          rng.standard_normal(3))
         eta = doubled_extractor(chi)
         assert eta.out_channels == 6 and eta.in_channels == 3
-        f = rng.standard_normal((6, 6, 3))
+        f = rng.standard_normal((1, 6, 6, 3))
         full = conv2d(f, eta, 1)
         top = conv2d(f, chi, 1) - f
-        np.testing.assert_allclose(full[:, :, :3], top, atol=1e-13)
-        np.testing.assert_allclose(full[:, :, 3:], -top, atol=1e-13)
+        np.testing.assert_allclose(full[..., :3], top, atol=1e-13)
+        np.testing.assert_allclose(full[..., 3:], -top, atol=1e-13)
 
 
 class TestSuite:

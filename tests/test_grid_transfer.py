@@ -63,9 +63,9 @@ class TestRestrictKr:
 
     def test_stride1_delta_reads_back_kernel(self):
         # convolving a centered delta at stride 1 reproduces the kernel pattern
-        f = np.zeros((5, 5, 1))
-        f[2, 2, 0] = 1.0
-        out = conv2d(f, from_matrix(RESTRICT_LINEAR), 1)[:, :, 0]
+        f = np.zeros((1, 5, 5, 1))
+        f[0, 2, 2, 0] = 1.0
+        out = conv2d(f, from_matrix(RESTRICT_LINEAR), 1)[0, :, :, 0]
         np.testing.assert_array_equal(out[1:4, 1:4], RESTRICT_LINEAR)
 
     def test_stride2_aligned_delta(self):

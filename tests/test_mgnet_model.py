@@ -66,7 +66,7 @@ class TestForward:
         for name, p in w.params.items():
             if "data_map" in name or "extract" in name or "/pi/" in name:
                 p.data = np.zeros_like(p.data)
-        x = rng.random((9, 9, 1))
+        x = rng.random((1, 9, 9, 1))
         _, trace = mgnet_forward(x, cfg, w)
         for level in trace.u_iterates:
             for u in level:
@@ -81,8 +81,8 @@ class TestForward:
         cfg = MgNetConfig(J=5, nu=(2, 2, 2, 2, 2), c_u=4, c_f=4, pi_variant="pi1",
                           use_batchnorm=False, in_channels=3, classes=10)
         w = init_weights(cfg, seed=0)
-        _, trace = mgnet_forward(rng.random((32, 32, 3)), cfg, w)
-        walk = [np.asarray(value(f)).shape[:2] for f in trace.f_levels]
+        _, trace = mgnet_forward(rng.random((1, 32, 32, 3)), cfg, w)
+        walk = [np.asarray(value(f)).shape[1:3] for f in trace.f_levels]
         assert walk == [(32, 32), (16, 16), (8, 8), (4, 4), (2, 2)]
 
     @pytest.mark.parametrize("pi_variant", ["pi0", "pi1", "pi2"])
@@ -91,7 +91,7 @@ class TestForward:
         # transfer formulas; recompute both from the recorded iterates
         cfg = small_config(J=3, nu=(2, 2, 1), pi_variant=pi_variant)
         w = init_weights(cfg, seed=3)
-        x = rng.random((9, 9, 1))
+        x = rng.random((1, 9, 9, 1))
         _, trace = mgnet_forward(x, cfg, w)
         for l in (1, 2):
             u_l = np.asarray(value(trace.u_iterates[l - 1][-1]))
@@ -119,7 +119,7 @@ class TestForward:
     def test_input_scaling_homogeneity(self, rng):
         cfg = small_config()
         w = init_weights(cfg, seed=1)  # biases are zero at init
-        x = rng.standard_normal((8, 8, 1))
+        x = rng.standard_normal((1, 8, 8, 1))
         theta0 = w.kernel("theta0")
         lam = 3.7
         np.testing.assert_allclose(f_in(lam * x, "conv_relu", theta0, no_bn),
@@ -132,7 +132,7 @@ class TestForward:
 
         class BadOps:
             def zero_features(self, f1):
-                return np.zeros((5, 5, cfg.c_u))  # wrong grid on purpose
+                return np.zeros((1, 5, 5, cfg.c_u))  # wrong grid on purpose
 
             def data_needed(self, level):
                 return True
@@ -141,7 +141,7 @@ class TestForward:
                 return np.zeros(np.shape(u)[:-1] + (cfg.c_f,))
 
         with pytest.raises(ContractViolation, match="level 1"):
-            run_smoothing_sweep(rng.random((8, 8, cfg.c_f)), cfg.nu, BadOps())
+            run_smoothing_sweep(rng.random((1, 8, 8, cfg.c_f)), cfg.nu, BadOps())
 
 
 class TestVariants:
@@ -161,7 +161,7 @@ class TestVariants:
                 data = np.full(p.data.shape, -1e4)
                 data[-1] = 0.0  # softmax underflows to an exact one-hot
                 p.data = data
-        x = rng.standard_normal((9, 9, 1))
+        x = rng.standard_normal((1, 9, 9, 1))
         _, ts = mgnet_forward(x, cfg_s, w_s)
         _, tm = mgnet_forward(x, cfg_m, w_m)
         for ls, lm in zip(ts.u_iterates, tm.u_iterates):
@@ -177,7 +177,7 @@ class TestVariants:
         for name, p in w_c.params.items():
             if name.endswith("/omega"):
                 p.data = np.array(1.0)
-        x = rng.standard_normal((9, 9, 1))
+        x = rng.standard_normal((1, 9, 9, 1))
         _, ts = mgnet_forward(x, cfg_s, w_s)
         _, tc = mgnet_forward(x, cfg_c, w_c)
         for ls, lc in zip(ts.u_iterates, tc.u_iterates):
@@ -226,17 +226,17 @@ class TestHeadAndInit:
     def test_classifier_probabilities(self, rng):
         cfg = small_config()
         w = init_weights(cfg, seed=0)
-        u, _ = mgnet_forward(rng.random((8, 8, 1)), cfg, w)
+        u, _ = mgnet_forward(rng.random((1, 8, 8, 1)), cfg, w)
         probs = classify(u, w)
-        assert probs.shape == (3,)
+        assert probs.shape == (1, 3)
         assert abs(probs.sum() - 1.0) < 1e-12
         assert (probs >= 0).all()
 
     def test_zero_features_give_uniform(self):
         cfg = small_config()
         w = init_weights(cfg, seed=0)
-        probs = classify(np.zeros((4, 4, cfg.c_u)), w)
-        np.testing.assert_allclose(probs, np.full(3, 1 / 3), atol=1e-12)
+        probs = classify(np.zeros((1, 4, 4, cfg.c_u)), w)
+        np.testing.assert_allclose(probs, np.full((1, 3), 1 / 3), atol=1e-12)
 
     def test_batch_rows_match_single_images(self, rng):
         cfg = small_config()
@@ -246,27 +246,27 @@ class TestHeadAndInit:
         assert probs.shape == (5, 3)
         np.testing.assert_allclose(probs.sum(axis=1), np.ones(5), atol=1e-12)
         for b in range(5):
-            assert probs[b].tobytes() == classify(feats[b], w).tobytes()
+            assert probs[b].tobytes() == classify(feats[b:b + 1], w)[0].tobytes()
 
     def test_f_in_variants(self, rng):
-        x = rng.random((8, 8, 1))  # non-negative
+        x = rng.random((1, 8, 8, 1))  # non-negative
         ident = identity_kernel(1)
         np.testing.assert_array_equal(f_in(x, "conv_relu", ident, no_bn), x)
         pooled = f_in(x, "conv_relu_maxpool", ident, no_bn)
-        assert np.asarray(value(pooled)).shape == (4, 4, 1)
-        neg = -np.abs(rng.standard_normal((5, 5, 1)))
+        assert np.asarray(value(pooled)).shape == (1, 4, 4, 1)
+        neg = -np.abs(rng.standard_normal((1, 5, 5, 1)))
         assert (np.asarray(f_in(neg, "conv_relu", ident, no_bn)) == 0).all()
 
     def test_head_site_produces_vector(self, rng):
         cfg = MgNetConfig(J=3, nu=(1, 1, 0), c_u=4, c_f=4, pi_variant="pi1",
                           use_batchnorm=False, in_channels=1, classes=2)
         w = init_weights(cfg, seed=0)
-        u, trace = mgnet_forward(rng.random((9, 9, 1)), cfg, w)
-        assert np.asarray(value(u)).shape == (4,)
+        u, trace = mgnet_forward(rng.random((1, 9, 9, 1)), cfg, w)
+        assert np.asarray(value(u)).shape == (1, 4)
         # the average sits over the level-(J-1) final features
         np.testing.assert_allclose(
             np.asarray(value(u)),
-            np.asarray(value(trace.u_iterates[1][-1])).mean(axis=(0, 1)), atol=1e-13)
+            np.asarray(value(trace.u_iterates[1][-1])).mean(axis=(1, 2)), atol=1e-13)
 
 
 class TestParameterCounting:
@@ -518,5 +518,5 @@ class TestSweepWork:
                 per_level[level] += 1
                 return _real(self, level, u)
             monkeypatch.setattr(KernelOperators, name, counted)
-        mgnet_forward(rng.random((9, 9, 2)), cfg, init_weights(cfg, seed=0))
+        mgnet_forward(rng.random((1, 9, 9, 2)), cfg, init_weights(cfg, seed=0))
         assert list(per_level.values()) == [4, 3, 2]  # nu = (3, 2, 2)

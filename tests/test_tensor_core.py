@@ -6,13 +6,24 @@ from mgnet.poisson_mg import POISSON_STENCIL
 
 from conftest import from_matrix, identity_kernel, reference_conv2d
 
-# a single (h, w, c) sample, and (b, h, w, c) batches as the networks pass them
+# a single (h, w, c) image, and (b, h, w, c) batches as the networks pass them
 BATCHES = [(), (1,), (3,)]
 BATCH_IDS = ["unbatched", "batch1", "batch3"]
+RANK_ERROR = r"expected \(batch, h, w, c\), got shape"
+
+
+def conv_of(x, kern, stride):
+    """`conv2d` of a batch; a single image is refused bare, so it goes in as
+    the batch of one ``x[None]`` and its output is read back as ``[0]``."""
+    if x.ndim == 4:
+        return conv2d(x, kern, stride)
+    with pytest.raises(ContractViolation, match=RANK_ERROR):
+        conv2d(x, kern, stride)
+    return conv2d(x[None], kern, stride)[0]
 
 
 def batched_reference(x, kern, stride):
-    """`reference_conv2d` applied to each sample of a batch."""
+    """`reference_conv2d` applied to a single image or to each sample of a batch."""
     if x.ndim == 3:
         return reference_conv2d(x, kern, stride)
     return np.stack([reference_conv2d(sample, kern, stride) for sample in x])
@@ -20,32 +31,32 @@ def batched_reference(x, kern, stride):
 
 class TestConv2d:
     def test_identity_kernel_is_identity(self, rng):
-        x = rng.standard_normal((5, 5, 1))
+        x = rng.standard_normal((1, 5, 5, 1))
         out = conv2d(x, identity_kernel(1), 1)
         np.testing.assert_array_equal(out, x)
 
     def test_identity_kernel_multichannel(self, rng):
-        x = rng.standard_normal((6, 4, 3))
+        x = rng.standard_normal((1, 6, 4, 3))
         out = conv2d(x, identity_kernel(3), 1)
         np.testing.assert_allclose(out, x, rtol=0, atol=0)
 
     def test_stride_output_size_ceil(self, rng):
-        x = rng.standard_normal((5, 5, 1))
+        x = rng.standard_normal((1, 5, 5, 1))
         out = conv2d(x, identity_kernel(1), 2)
-        assert out.shape == (3, 3, 1)
+        assert out.shape == (1, 3, 3, 1)
 
     @pytest.mark.parametrize("m,n,s", [(5, 5, 2), (7, 4, 3), (9, 6, 2), (5, 5, 1)])
     def test_output_shape_general(self, rng, m, n, s):
-        x = rng.standard_normal((m, n, 2))
+        x = rng.standard_normal((1, m, n, 2))
         kern = ConvKernel(rng.standard_normal((3, 3, 4, 2)), rng.standard_normal(4))
         out = conv2d(x, kern, s)
-        assert out.shape == (-(-m // s), -(-n // s), 4)
+        assert out.shape == (1, -(-m // s), -(-n // s), 4)
 
     def test_five_point_stencil_on_ones(self):
-        u = np.ones((5, 5, 1))
+        u = np.ones((1, 5, 5, 1))
         kern = from_matrix(POISSON_STENCIL)
-        out = conv2d(u, kern, 1)[:, :, 0]
-        expected = reference_conv2d(u, kern, 1)[:, :, 0]
+        out = conv2d(u, kern, 1)[0, :, :, 0]
+        expected = reference_conv2d(u[0], kern, 1)[:, :, 0]
         np.testing.assert_allclose(out, expected, atol=1e-14)
         assert out[2, 2] == 0.0 and out[0, 2] == 1.0 and out[0, 0] == 2.0
 
@@ -56,7 +67,7 @@ class TestConv2d:
     def test_matches_bruteforce_reference(self, rng, batch, stride, m, n, kk):
         x = rng.standard_normal(batch + (m, n, 3))
         kern = ConvKernel(rng.standard_normal((kk, kk, 4, 3)), rng.standard_normal(4))
-        got = conv2d(x, kern, stride)
+        got = conv_of(x, kern, stride)
         want = batched_reference(x, kern, stride)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -66,8 +77,8 @@ class TestConv2d:
         y = rng.standard_normal(batch + (6, 5, 2))
         kern = ConvKernel(rng.standard_normal((3, 3, 3, 2)), np.zeros(3))
         a, b = 1.7, -0.4
-        lhs = conv2d(a * x + b * y, kern, 1)
-        rhs = a * conv2d(x, kern, 1) + b * conv2d(y, kern, 1)
+        lhs = conv_of(a * x + b * y, kern, 1)
+        rhs = a * conv_of(x, kern, 1) + b * conv_of(y, kern, 1)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("stride", [2, 3])
@@ -75,29 +86,29 @@ class TestConv2d:
     def test_stride_equals_subsampled_stride_one(self, rng, batch, stride):
         x = rng.standard_normal(batch + (9, 8, 2))
         kern = ConvKernel(rng.standard_normal((3, 3, 2, 2)), rng.standard_normal(2))
-        full = conv2d(x, kern, 1)
+        full = conv_of(x, kern, 1)
         # identical sums up to contraction order inside einsum
         np.testing.assert_allclose(full[..., ::stride, ::stride, :],
-                                   conv2d(x, kern, stride),
+                                   conv_of(x, kern, stride),
                                    rtol=1e-12, atol=1e-13)
 
     def test_outputs_finite_on_finite_inputs(self, rng):
-        x = rng.standard_normal((8, 8, 3)) * 1e6
+        x = rng.standard_normal((1, 8, 8, 3)) * 1e6
         kern = ConvKernel(rng.standard_normal((5, 5, 2, 3)), rng.standard_normal(2))
         assert np.isfinite(conv2d(x, kern, 2)).all()
 
     def test_channel_mismatch_raises(self, rng):
-        x = rng.standard_normal((5, 5, 2))
-        with pytest.raises(ContractViolation):
+        x = rng.standard_normal((1, 5, 5, 2))
+        with pytest.raises(ContractViolation, match="2 channels"):
             conv2d(x, identity_kernel(3), 1)
 
     def test_empty_input_raises(self):
-        with pytest.raises(ContractViolation):
-            conv2d(np.zeros((0, 5, 1)), identity_kernel(1), 1)
+        with pytest.raises(ContractViolation, match="empty"):
+            conv2d(np.zeros((0, 5, 5, 1)), identity_kernel(1), 1)
 
     def test_bad_stride_raises(self, rng):
-        x = rng.standard_normal((5, 5, 1))
-        with pytest.raises(ContractViolation):
+        x = rng.standard_normal((1, 5, 5, 1))
+        with pytest.raises(ContractViolation, match="stride"):
             conv2d(x, identity_kernel(1), 0)
 
 

@@ -64,6 +64,14 @@ class TestSchedule:
         with pytest.raises(ContractViolation, match="lr_decay_every"):
             TrainConfig(lr_decay_every=0)
 
+    # a float or a bool is no count, and a negative seed is no numpy seed
+    @pytest.mark.parametrize("name,bad", [("batch_size", 2.5), ("epochs", 1.5),
+                                          ("batch_size", True), ("seed", -1),
+                                          ("lr_decay_every", 30.0), ("seed", 0.5)])
+    def test_counts_are_checked_integers(self, name, bad):
+        with pytest.raises(ContractViolation, match=f"{name} must be an integer"):
+            TrainConfig(**{name: bad})
+
 
 def toy_config(classes=2):
     return MgNetConfig(J=2, nu=(1, 1), c_u=4, c_f=4, pi_variant="pi1",
