@@ -46,19 +46,10 @@ def _load_dataset(spec: str, fmt: str, synthetic_classes: int, seed: int):
     if spec == "synthetic":
         per_class = 200
         return data_io.gen_synthetic(synthetic_classes, per_class, size=16, seed=seed)
-    path = Path(spec)
-    if path.is_dir():
-        files = sorted(path.glob("*.bin")) or sorted(path.glob("data_batch*"))
-        if not files:
-            raise data_io.FormatError(f"no CIFAR binary files under {path}")
-    else:
-        files = [path]
     loader = data_io.load_cifar10 if fmt == "cifar10" else data_io.load_cifar100
-    items = []
-    for f in files:
-        items.extend(loader(f))
+    items = loader(spec)
     if not items:
-        raise data_io.FormatError(f"{path}: no CIFAR records")
+        raise data_io.FormatError(f"{spec}: no CIFAR records")
     return items
 
 
@@ -224,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a network")
     p.add_argument("--config", help="model config JSON (defaults to a small toy model)")
-    p.add_argument("--data", default="synthetic", help="'synthetic' or a CIFAR binary path")
+    p.add_argument("--data", default="synthetic", help="'synthetic' or one CIFAR binary file")
     p.add_argument("--data-format", choices=("cifar10", "cifar100"), default="cifar10")
     p.add_argument("--synthetic-classes", type=int, default=2)
     p.add_argument("--out", default="run", help="output directory")
@@ -258,9 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
 def run_cli(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    if not argv:
-        parser.print_help()
-        return 2
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -270,7 +258,7 @@ def run_cli(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ContractViolation, data_io.FormatError, FileNotFoundError) as exc:
+    except (ContractViolation, data_io.FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -68,7 +68,7 @@ class _LinearMgOperators:
         return np.zeros_like(u)
 
     def extract(self, level: int, i: int, r):
-        return smooth(r, self.h.operator(level), self.omega)
+        return smooth(r, self.h, level, self.omega)
 
     def restrict(self, level: int, x):
         return restrict_kr(x)

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid_transfer import prolongate, restrict_kr
-from .tensor_core import ContractViolation, _pad, _windows
+from .tensor_core import ContractViolation, _check_count, _pad, _windows
 
 POISSON_STENCIL = np.array([[0.0, -1.0, 0.0],
                             [-1.0, 4.0, -1.0],
@@ -32,54 +32,20 @@ POISSON_STENCIL = np.array([[0.0, -1.0, 0.0],
 COARSEST_MAX_SIZE = 33
 
 
-@dataclass
-class StencilOperator:
-    """Level-l operator as a variable-coefficient 3x3 stencil field.
-
-    ``coef[i, j, p, q]`` multiplies ``u[i + p - 1, j + q - 1]``; samples
-    outside the grid read zero.
-    """
-
-    level: int
-    coef: np.ndarray   # (m_l, n_l, 3, 3)
-
-    def __post_init__(self):
-        # taps that are zero everywhere (the corners of a 5-point field) are skipped
-        self._live = self.coef.any(axis=(0, 1))
-
-    @property
-    def shape(self) -> tuple:
-        return self.coef.shape[:2]
-
-    def _checked(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if u.shape != self.shape:
-            raise ContractViolation(
-                f"level {self.level} operator expects shape {self.shape}, got {u.shape}")
-        return u
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        u = self._checked(u)
-        m, n = self.shape
-        out = np.zeros((m, n))
-        for p, q, win in _windows(_pad(u[None, :, :, None], 1), 3, 1, m, n):
-            if self._live[p, q]:
-                out += self.coef[:, :, p, q] * win[0, :, :, 0]
-        return out
-
-
 class PoissonHierarchy:
     """Grids, grid transfers and one Galerkin stencil field per level.
 
     ``sizes[l - 1]`` is the level-l grid (m_l, n_l) of the nodal chain
     m -> (m+1)/2 -> ..., which needs an odd size >= 3 at every level and a
-    coarsest grid of at most ``COARSEST_MAX_SIZE`` per side.  The transfers
-    are `prolongate` and its transpose `restrict_kr`.
+    coarsest grid of at most ``COARSEST_MAX_SIZE`` per side.  ``fields[l - 1]``
+    is the level-l operator A^l as a variable-coefficient 3x3 stencil field
+    of shape (m_l, n_l, 3, 3): ``fields[l - 1][i, j, p, q]`` multiplies
+    ``u[i + p - 1, j + q - 1]``, and samples outside the grid read zero.  The
+    transfers are `prolongate` and its transpose `restrict_kr`.
     """
 
     def __init__(self, m: int, n: int, levels: int):
-        if levels < 1:
-            raise ContractViolation(f"hierarchy needs at least one level, got {levels}")
+        _check_count("levels", levels, 1)
         sizes, cm, cn = [], m, n
         for _ in range(levels):
             if cm < 3 or cn < 3 or cm % 2 == 0 or cn % 2 == 0:
@@ -96,11 +62,14 @@ class PoissonHierarchy:
                 f"coarsest grid {sizes[-1][0]}x{sizes[-1][1]} of {m}x{n} at depth {levels} "
                 f"exceeds {COARSEST_MAX_SIZE}x{COARSEST_MAX_SIZE}; use at least {depth} levels")
         self.sizes = tuple(sizes)
-        self._ops = [StencilOperator(1, np.broadcast_to(POISSON_STENCIL, (m, n, 3, 3)))]
-        for l in range(1, levels):
-            self._ops.append(self._galerkin(l))
+        self.fields, self._live = [], []
+        for l in range(levels):
+            coef = self._galerkin(l) if l else np.broadcast_to(POISSON_STENCIL, (m, n, 3, 3))
+            self.fields.append(coef)
+            # taps that are zero everywhere (the corners of a 5-point field) are skipped
+            self._live.append(coef.any(axis=(0, 1)))
 
-    def _galerkin(self, level: int) -> StencilOperator:
+    def _galerkin(self, level: int) -> np.ndarray:
         """R A^l P, probed with the 9 colour vectors ``e[a::3, b::3] = 1``.
 
         A 3x3 field stays 3x3 under Galerkin coarsening with linear
@@ -118,32 +87,43 @@ class PoissonHierarchy:
         i = np.arange(cm)[:, None, None, None]
         j = np.arange(cn)[None, :, None, None]
         p, q = np.arange(3)[:, None], np.arange(3)
-        return StencilOperator(level + 1, probes[(i + p - 1) % 3, (j + q - 1) % 3, i, j])
+        return probes[(i + p - 1) % 3, (j + q - 1) % 3, i, j]
 
     @property
     def levels(self) -> int:
         return len(self.sizes)
 
-    def operator(self, level: int) -> StencilOperator:
+    def _checked(self, u, level: int) -> np.ndarray:
         if not 1 <= level <= self.levels:
             raise ContractViolation(f"no operator at level {level} of {self.levels}")
-        return self._ops[level - 1]
+        u = np.asarray(u, dtype=float)
+        if u.shape != self.sizes[level - 1]:
+            raise ContractViolation(
+                f"level {level} operator expects shape {self.sizes[level - 1]}, got {u.shape}")
+        return u
 
     def apply(self, u: np.ndarray, level: int) -> np.ndarray:
         """A^l u for the level-l grid."""
-        return self.operator(level).apply(u)
+        u = self._checked(u, level)
+        coef, live = self.fields[level - 1], self._live[level - 1]
+        m, n = u.shape
+        out = np.zeros((m, n))
+        for p, q, win in _windows(_pad(u[None, :, :, None], 1), 3, 1, m, n):
+            if live[p, q]:
+                out += coef[:, :, p, q] * win[0, :, :, 0]
+        return out
 
     def _assemble(self, level: int) -> np.ndarray:
         """The level-l field as a dense (m_l n_l, m_l n_l) matrix."""
-        op = self.operator(level)
-        m, n = op.shape
+        coef = self.fields[level - 1]
+        m, n = self.sizes[level - 1]
         rows = np.arange(m * n).reshape(m, n)
         cols = np.pad(rows, 1, constant_values=-1)[None, :, :, None]
         a = np.zeros((m * n, m * n))
         for p, q, win in _windows(cols, 3, 1, m, n):
             col = win[0, :, :, 0]
             inside = col >= 0
-            a[rows[inside], col[inside]] = op.coef[:, :, p, q][inside]
+            a[rows[inside], col[inside]] = coef[:, :, p, q][inside]
         return a
 
     @cached_property
@@ -152,7 +132,7 @@ class PoissonHierarchy:
 
     def coarse_solve(self, f: np.ndarray) -> np.ndarray:
         """Exact solve on the coarsest grid; the first call builds the dense inverse."""
-        f = self.operator(self.levels)._checked(f)
+        f = self._checked(f, self.levels)
         return (self._coarse_inverse @ f.ravel()).reshape(f.shape)
 
     def direct_solve(self, f: np.ndarray) -> np.ndarray:
@@ -160,7 +140,7 @@ class PoissonHierarchy:
 
         The (mn, mn) matrix is assembled from the level-1 field on each call.
         """
-        f = self.operator(1)._checked(f)
+        f = self._checked(f, 1)
         return np.linalg.solve(self._assemble(1), f.ravel()).reshape(f.shape)
 
 
@@ -169,10 +149,10 @@ def _check_omega(omega: float) -> None:
         raise ContractViolation(f"omega must lie in (0, 2), got {omega}")
 
 
-def smooth(r: np.ndarray, op: StencilOperator, omega: float) -> np.ndarray:
+def smooth(r: np.ndarray, hierarchy: PoissonHierarchy, level: int, omega: float) -> np.ndarray:
     """Damped Jacobi correction omega D^-1 r, D the diagonal of the level's field."""
     _check_omega(omega)
-    return omega * op._checked(r) / op.coef[:, :, 1, 1]
+    return omega * hierarchy._checked(r, level) / hierarchy.fields[level - 1][:, :, 1, 1]
 
 
 @dataclass
@@ -206,6 +186,16 @@ def _checked_hierarchy(f, levels: int, hierarchy: PoissonHierarchy | None) -> Po
     return hierarchy
 
 
+def _checked_nu(nu, levels: int, minimum: int) -> list:
+    """One smoothing count of at least `minimum` per level."""
+    nu = list(nu)
+    if len(nu) != levels:
+        raise ContractViolation(f"nu must have {levels} entries, got {len(nu)}")
+    for v in nu:
+        _check_count("every nu entry", v, minimum)
+    return nu
+
+
 def mg0(f, levels: int, nu, omega: float = 0.8,
         hierarchy: PoissonHierarchy | None = None) -> MgTrace:
     """Fine-to-coarse sweep: nu_l smoothings per level, then residual restriction.
@@ -214,8 +204,8 @@ def mg0(f, levels: int, nu, omega: float = 0.8,
     first smoothing applies no operator; returns the full iterate history.
     """
     f = _as_grid(f)
-    if len(nu) != levels:
-        raise ContractViolation(f"nu must have {levels} entries, got {len(nu)}")
+    _check_count("levels", levels, 1)
+    nu = _checked_nu(nu, levels, 0)
     hierarchy = _checked_hierarchy(f, levels, hierarchy)
     trace = MgTrace()
     f_l = f
@@ -226,7 +216,7 @@ def mg0(f, levels: int, nu, omega: float = 0.8,
         for step in range(nu[l - 1]):
             if step:
                 r = f_l - hierarchy.apply(u, l)
-            u = u + smooth(r, hierarchy.operator(l), omega)
+            u = u + smooth(r, hierarchy, l, omega)
             iterates.append(u)
         trace.f_levels.append(f_l)
         trace.u_iterates.append(iterates)
@@ -264,14 +254,12 @@ def solve_poisson(f, levels: int, nu=None, omega: float = 0.8, cycles: int = 50,
     The residual that ends one cycle starts the next; the first is f itself.
     """
     f = _as_grid(f)
-    if cycles < 1:
-        raise ContractViolation(f"cycles must be >= 1, got {cycles}")
+    _check_count("levels", levels, 1)
+    _check_count("cycles", cycles, 1)
     if not (np.isfinite(rtol) and 0.0 <= rtol < 1.0):
         raise ContractViolation(f"rtol must be finite and lie in [0, 1), got {rtol}")
     _check_omega(omega)  # a 1-level solve never smooths
-    nu = [2] * levels if nu is None else list(nu)
-    if not all(np.isfinite(v) and v >= 1 for v in nu):
-        raise ContractViolation(f"every level needs at least one smoothing, got nu={nu}")
+    nu = _checked_nu([2] * levels if nu is None else nu, levels, 1)
     hierarchy = _checked_hierarchy(f, levels, hierarchy)
     u = np.zeros_like(f)
     f_norm = float(np.linalg.norm(f))

@@ -82,7 +82,7 @@ def test_criterion_3_kernel_exactness():
         for omega in (0.4, 0.8, 1.0, 1.5):
             r = rng.standard_normal((m, n))
             jacobi = (omega / diag * r.ravel()).reshape(m, n)
-            got = smooth(r, hierarchy.operator(level), omega)
+            got = smooth(r, hierarchy, level, omega)
             worst = max(worst, float(np.abs(got - jacobi).max()))
     ok = kernel_ok and transpose_ok and worst < 1e-12
     verdict(3, ok, f"kernel exact={kernel_ok}, "

@@ -155,6 +155,12 @@ class TestGradientsAgainstFiniteDifferences:
         with pytest.raises(ContractViolation):
             ad.max_pool(x, 1, stride)
 
+    def test_channel_mismatch_raises(self, rng):
+        x = Parameter("x", rng.standard_normal((1, 5, 5, 2)))
+        with Tape(), pytest.raises(ContractViolation,
+                                   match="input has 2 channels but kernel expects 1"):
+            ad.conv2d(x, identity_kernel(1), 1)
+
     @pytest.mark.parametrize("shape", [(5, 5), (5, 5, 1), (1, 1, 5, 5, 1)],
                              ids=["rank2", "rank3", "rank5"])
     def test_bad_rank_raises(self, rng, shape):

@@ -135,8 +135,13 @@ class TestUsage:
         ["count-params", "--model", "mgnet", "--config", "{tmp}/cfg.json"],
         ["train", "--lr", "nan", "--out", "{tmp}/run"],
         ["count-params", "--model", "resnet18", "--classes", "-5"],
+        ["solve-poisson", "--out", "{tmp}"],
+        ["verify", "--theorem", "sigma", "--out", "{tmp}"],
+        ["train", "--data", "{tmp}/cfg.json/x", "--out", "{tmp}/run"],
+        ["train", "--epochs", "1", "--out", "{tmp}/cfg.json/run"],
     ], ids=["nu-zero", "nu-negative", "rtol-nan", "rtol-above-one", "negative-half-width",
-            "lr-nan", "resnet-negative-classes"])
+            "lr-nan", "resnet-negative-classes", "solve-out-directory",
+            "verify-out-directory", "data-through-a-file", "out-through-a-file"])
     def test_bad_value_is_usage_error(self, tmp_path, capsys, argv):
         (tmp_path / "cfg.json").write_text(
             json.dumps({"J": 2, "nu": [1, 1], "kernel_half_width": -1}))
@@ -337,3 +342,21 @@ class TestTrainEvalCommands:
                 "eval": ["eval", "--checkpoint", str(ckpt)]}[command]
         assert run_cli(argv + ["--data", str(data_path)]) == 2
         assert "no CIFAR records" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_data_directory_is_input_error(self, tmp_path, capsys, command):
+        # a cifar-10-batches-bin layout: --data names one file, so the test
+        # split beside the training batch is never read into training
+        data_dir = tmp_path / "cifar-10-batches-bin"
+        data_dir.mkdir()
+        cifar_file(data_dir / "data_batch_1.bin", [1] * 4)
+        cifar_file(data_dir / "test_batch.bin", [7])
+        cfg = MgNetConfig(J=2, nu=(1, 1), c_u=4, c_f=4, in_channels=3, classes=10)
+        (tmp_path / "config.json").write_text(json.dumps(cfg.to_dict()))
+        ckpt = tmp_path / "checkpoint.mgnet"
+        save_checkpoint(ckpt, init_weights(cfg).state_dict())
+        argv = {"train": ["train", "--out", str(tmp_path / "run"), "--epochs", "1"],
+                "eval": ["eval", "--checkpoint", str(ckpt)]}[command]
+        assert run_cli(argv + ["--data", str(data_dir)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "run").exists()

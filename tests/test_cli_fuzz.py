@@ -4,7 +4,8 @@ Arguments are drawn from each subcommand's grammar with out-of-range,
 non-finite and malformed values mixed in, and `count-params` reads fuzzed
 JSON model configs.  `train` and `eval` are drawn only on paths that reject
 their input before the first epoch, so no drawn example trains a model.
-A second property feeds `eval` byte-level mutations of a trained checkpoint.
+A second property feeds `eval` byte-level mutations of a trained checkpoint,
+and a third feeds `eval` and `train --epochs 1` mutations of a CIFAR file.
 """
 
 import contextlib
@@ -168,6 +169,13 @@ def count_config(text):
 # empty data
 @example(case=(["eval", "--checkpoint", "{dir}/gray/checkpoint.mgnet", "--data",
                 "{dir}/empty.bin"], None))
+# paths the operating system refuses: a directory to write, a file to walk through,
+# a directory of CIFAR batches where one file is expected
+@example(case=(["solve-poisson", "--out", "{dir}"], None))
+@example(case=(["train", "--data", "{dir}/c10.bin/x", "--out", "{dir}/run"], None))
+@example(case=(["train", "--data", "{dir}", "--out", "{dir}/run"], None))
+@example(case=(["eval", "--checkpoint", "{dir}/rgb/checkpoint.mgnet", "--data", "{dir}"],
+               None))
 def test_every_argv_ends_in_an_exit_code(fixture_dir, case):
     argv, config = case
     if config is not None:
@@ -245,4 +253,51 @@ def test_eval_of_a_mutated_checkpoint_ends_in_an_exit_code(trained_run, tmp_path
         assert code == 2, kind
     if code == 0:
         result = json.loads(out.getvalue().splitlines()[-1], parse_constant=_strict_float)
+        assert math.isfinite(result["loss"]) and 0.0 <= result["accuracy"] <= 1.0
+
+
+@pytest.fixture(scope="module")
+def cifar_case(tmp_path_factory):
+    """A three-record CIFAR-10 file, a small 10-class model config and its checkpoint."""
+    d = tmp_path_factory.mktemp("cifar")
+    cifar_file(d / "data.bin", [0, 1, 2])
+    cfg = MgNetConfig(J=2, nu=(1, 1), c_u=4, c_f=4, in_channels=3, classes=10)
+    (d / "config.json").write_text(json.dumps(cfg.to_dict()))
+    save_checkpoint(d / "checkpoint.mgnet", init_weights(cfg).state_dict())
+    return d
+
+
+RECORD = 1 + 3 * 1024
+
+
+@settings(max_examples=20, deadline=timedelta(seconds=20), database=None, derandomize=True)
+@given(command=st.sampled_from(["eval", "train"]),
+       mutation=st.tuples(st.sampled_from(BYTE_MUTATIONS), st.integers(0, 1 << 14),
+                          st.integers(0, 1 << 14)))
+# a label byte flipped to 10, one whole record kept, the middle record cut out
+@example(command="eval", mutation=("flip", 0, 9))
+@example(command="train", mutation=("flip", RECORD, 9))
+@example(command="eval", mutation=("truncate", RECORD, 0))
+@example(command="train", mutation=("splice", RECORD, 2 * RECORD))
+def test_a_mutated_cifar_file_ends_in_an_exit_code(cifar_case, tmp_path_factory, command,
+                                                  mutation):
+    kind, a, b = mutation
+    scratch = tmp_path_factory.mktemp("mutated_cifar")
+    data = MUTATIONS[kind]((cifar_case / "data.bin").read_bytes(), a, b, scratch)
+    (scratch / "data.bin").write_bytes(data)
+    argv = {"eval": ["eval", "--checkpoint", str(cifar_case / "checkpoint.mgnet")],
+            "train": ["train", "--config", str(cifar_case / "config.json"),
+                      "--out", str(scratch / "run"), "--epochs", "1", "--batch-size", "2"]}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run_cli(argv[command] + ["--data", str(scratch / "data.bin")])
+    assert code in (0, 1, 2)
+    if kind == "flip" and max(data[::RECORD]) >= 10:
+        assert code == 2  # a label byte flipped outside CIFAR-10's classes
+    if code == 0:
+        if command == "eval":
+            result = json.loads(out.getvalue().splitlines()[-1], parse_constant=_strict_float)
+        else:
+            summary = (scratch / "run" / "summary.json").read_text()
+            result = json.loads(summary, parse_constant=_strict_float)["final"]
         assert math.isfinite(result["loss"]) and 0.0 <= result["accuracy"] <= 1.0

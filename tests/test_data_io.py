@@ -148,6 +148,16 @@ class TestCheckpoints:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
+    def test_implausible_rank_is_a_format_error(self, tmp_path):
+        path = tmp_path / "model.mgnet"
+        save_checkpoint(path, {"w": np.ones(2)})
+        raw = bytearray(path.read_bytes())
+        # magic(6) + name_len(4) + "w"(1) => the rank starts at offset 11
+        raw[11 + 3] = 0x01  # rank 2**24 + 1
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="implausible rank 16777217 for 'w'"):
+            load_checkpoint(path)
+
     def test_non_utf8_name_is_a_format_error(self, tmp_path):
         path = tmp_path / "model.mgnet"
         save_checkpoint(path, {"w": np.ones(2)})

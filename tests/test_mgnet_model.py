@@ -184,6 +184,37 @@ class TestVariants:
             for us, uc in zip(ls, lc):
                 assert np.asarray(value(us)).tobytes() == np.asarray(value(uc)).tobytes()
 
+    @pytest.mark.parametrize("strategy", ["constant", "scaled"])
+    @pytest.mark.parametrize("variant", ["single", "multi", "chebyshev"])
+    def test_shared_extractor_is_variable_with_copied_kernels(self, rng, strategy, variant):
+        # one extractor per level, scaled by ones, is the per-step extractors
+        # all set to it; a scale then multiplies that step's extraction
+        cfg_s = small_config(J=2, nu=(3, 2), smoothing_variant=variant,
+                             extractor_strategy=strategy, use_batchnorm=True)
+        cfg_v = small_config(J=2, nu=(3, 2), smoothing_variant=variant,
+                             extractor_strategy="variable", use_batchnorm=True)
+        w_s, w_v = init_weights(cfg_s, seed=3), init_weights(cfg_v, seed=3)
+        if strategy == "scaled":
+            assert all((w_s.params[f"level{l}/scale"].data == 1).all() for l in (1, 2))
+        for name, p in w_v.params.items():
+            shared = name
+            for l, n_l in ((1, 3), (2, 2)):
+                for i in range(1, n_l + 1):
+                    shared = shared.replace(f"level{l}/extract{i}/", f"level{l}/extract/")
+            p.data = w_s.params[shared].data.copy()
+        x = rng.standard_normal((2, 9, 9, 1))
+        for training in (False, True):
+            z_s, t_s = mgnet_forward(x, cfg_s, w_s, training=training)
+            z_v, _ = mgnet_forward(x, cfg_v, w_v, training=training)
+            assert np.isfinite(value(z_s)).all()
+            assert value(z_s).tobytes() == value(z_v).tobytes()
+        if strategy == "scaled":
+            w_s.params["level1/scale"].data = np.array([1.0, 0.5, 2.0])
+            _, t_scaled = mgnet_forward(x, cfg_s, w_s, training=True)
+            u_s, u_scaled = t_s.u_iterates[0], t_scaled.u_iterates[0]
+            assert value(u_scaled[1]).tobytes() == value(u_s[1]).tobytes()
+            assert not np.array_equal(value(u_scaled[2]), value(u_s[2]))
+
     def test_multi_step_residual_recursion_with_linear_maps(self, rng):
         # r^i = sum_j alpha_j (I - A B) r^j when both maps are linear
         m = 6

@@ -53,7 +53,7 @@ class TestNodalChain:
             PoissonHierarchy(16, 16, 2)
         with pytest.raises(ContractViolation, match="odd nodal chain"):
             PoissonHierarchy(5, 5, 4)
-        with pytest.raises(ContractViolation, match="at least one level"):
+        with pytest.raises(ContractViolation, match="levels must be an integer >= 1"):
             PoissonHierarchy(9, 9, 0)
 
     def test_coarsest_grid_is_capped(self):
@@ -102,13 +102,13 @@ class TestStencilOperator:
 class TestJacobiSmoother:
     def test_one_step_is_quarter_scale(self, rng):
         f = rng.standard_normal((7, 7))
-        op = PoissonHierarchy(7, 7, 1).operator(1)
-        np.testing.assert_allclose(smooth(f, op, 1.0), f / 4.0, atol=1e-15)
+        h = PoissonHierarchy(7, 7, 1)
+        np.testing.assert_allclose(smooth(f, h, 1, 1.0), f / 4.0, atol=1e-15)
 
     def test_shape_mismatch_raises(self):
-        op = PoissonHierarchy(9, 9, 2).operator(2)
-        with pytest.raises(ContractViolation):
-            smooth(np.zeros((9, 9)), op, 0.8)
+        h = PoissonHierarchy(9, 9, 2)
+        with pytest.raises(ContractViolation, match="level 2 operator expects shape"):
+            smooth(np.zeros((9, 9)), h, 2, 0.8)
 
     @pytest.mark.parametrize("omega", [0.0, 2.0, -0.5, float("nan")])
     def test_omega_range_enforced(self, omega):
@@ -147,8 +147,8 @@ class TestGalerkinCoarsening:
     @pytest.mark.parametrize("level", [0, 3])
     def test_operator_out_of_range_raises(self, level):
         h = PoissonHierarchy(9, 9, 2)
-        with pytest.raises(ContractViolation):
-            h.operator(level)
+        with pytest.raises(ContractViolation, match="no operator at level"):
+            h.apply(np.zeros((9, 9)), level)
 
     @pytest.mark.parametrize("size,levels", [(17, 3), (33, 4)])
     def test_field_matches_dense_galerkin_product(self, size, levels):
@@ -160,7 +160,7 @@ class TestGalerkinCoarsening:
             m, n = h.sizes[l - 1]
             p = prolongation_matrix(m, n)
             a = p.T @ a @ p
-            coef = h.operator(l).coef
+            coef = h.fields[l - 1]
             assert coef.shape == (m, n, 3, 3)
             field = np.zeros_like(a)
             for i in range(m):
@@ -173,6 +173,25 @@ class TestGalerkinCoarsening:
                             else:
                                 assert c == 0.0
             np.testing.assert_allclose(field, a, rtol=0.0, atol=1e-12)
+
+
+class TestCounts:
+    @pytest.mark.parametrize("call,message", [
+        (lambda f: PoissonHierarchy(17, 17, 2.5), "levels must be an integer >= 1, got 2.5"),
+        (lambda f: solve_poisson(f, 3, [1.5, 2, 2]), "every nu entry must be an integer >= 1"),
+        (lambda f: solve_poisson(f, 3, cycles=2.5), "cycles must be an integer >= 1, got 2.5"),
+        (lambda f: mg0(f, 3, [-1, 2, 2]), "every nu entry must be an integer >= 0, got -1"),
+        (lambda f: solve_poisson(f, True, [2]), "levels must be an integer >= 1, got True"),
+    ], ids=["hierarchy-levels-float", "solve-nu-float", "solve-cycles-float",
+            "mg0-nu-negative", "solve-levels-bool"])
+    def test_counts_are_checked_integers(self, call, message):
+        with pytest.raises(ContractViolation, match=message):
+            call(np.ones((17, 17)))
+
+    def test_zero_rhs_solves_in_no_cycles(self):
+        result = solve_poisson(np.zeros((9, 9)), 2)
+        assert (result.u == 0).all()
+        assert (result.residual_norms, result.cycles, result.converged) == ([0.0], 0, True)
 
 
 class TestMatrixFree:

@@ -219,6 +219,21 @@ class TestFiniteDifferenceAudit:
         assert report.worst_relative_error < 1e-5
         assert report.entries_checked > 1000
 
+    @pytest.mark.parametrize("strategy", ["constant", "scaled"])
+    @pytest.mark.parametrize("variant", ["single", "multi", "chebyshev"])
+    def test_shared_extractor_models(self, rng, strategy, variant):
+        cfg = MgNetConfig(J=2, nu=(3, 2), c_u=4, c_f=4, pi_variant="pi1",
+                          smoothing_variant=variant, extractor_strategy=strategy,
+                          use_batchnorm=True, in_channels=1, classes=3)
+        weights = init_weights(cfg, seed=1)
+        if strategy == "scaled":
+            for l in (1, 2):
+                weights.params[f"level{l}/scale"].data = 0.5 + rng.random(cfg.nu[l - 1])
+        report = finite_diff_check(cfg, weights, rng.random((4, 9, 9, 1)), [0, 1, 2, 0],
+                                   max_entries_per_group=8, seed=1)
+        assert report.worst_relative_error < 1e-4
+        assert set(report.per_parameter) == set(weights.params)
+
     def test_full_model_with_batchnorm(self, rng):
         cfg = MgNetConfig(J=2, nu=(2, 2), c_u=4, c_f=4, pi_variant="pi1",
                           use_batchnorm=True, in_channels=1, classes=3)
