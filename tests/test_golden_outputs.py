@@ -33,6 +33,7 @@ RUNS = {
     "verify": ["verify", "--theorem", "all", "--seed", "0"],
     "solve-33-L4": ["solve-poisson", "--size", "33", "--levels", "4"],
     "solve-65-L5": ["solve-poisson", "--size", "65", "--levels", "5"],
+    "solve-65-L6": ["solve-poisson", "--size", "65", "--levels", "6"],
 }
 
 DIGESTS = {
@@ -43,6 +44,10 @@ DIGESTS = {
     "solve-65-L5": {
         "out.json":
             "ae5211ffd381e9803df6bd7e021128448186221f1dfcdfe299c97ff5719753df",
+    },
+    "solve-65-L6": {
+        "out.json":
+            "029430178fd60751f7d0ccd3db550245278b07b77f6ee312ae6e3245962d8c52",
     },
     "train": {
         "config.json":
