@@ -1,7 +1,8 @@
 """Discrete 2-D Poisson problem and a geometric multigrid solver.
 
 Every level's operator is a 3x3 stencil field applied with zero padding
-(a Dirichlet-type truncation at the boundary, which makes it SPD).  Level 1
+(a Dirichlet-type truncation at the boundary, which makes it SPD) by
+`grid_transfer.stencil`, the routine restriction runs at stride 2.  Level 1
 is the constant 5-point stencil; coarse fields are the Galerkin triple
 products R A P with R = P^T, probed through the transfers themselves.
 Smoothing is damped Jacobi scaled by the centre tap of each level's own
@@ -21,8 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid_transfer import prolongate, restrict_kr
-from .tensor_core import ContractViolation, _check_count, _pad, _windows
+from .grid_transfer import prolongate, restrict_kr, stencil
+from .tensor_core import ContractViolation, _check_count, _windows
 
 POISSON_STENCIL = np.array([[0.0, -1.0, 0.0],
                             [-1.0, 4.0, -1.0],
@@ -45,6 +46,8 @@ class PoissonHierarchy:
     """
 
     def __init__(self, m: int, n: int, levels: int):
+        _check_count("m", m, 1)
+        _check_count("n", n, 1)
         _check_count("levels", levels, 1)
         sizes, cm, cn = [], m, n
         for _ in range(levels):
@@ -62,12 +65,14 @@ class PoissonHierarchy:
                 f"coarsest grid {sizes[-1][0]}x{sizes[-1][1]} of {m}x{n} at depth {levels} "
                 f"exceeds {COARSEST_MAX_SIZE}x{COARSEST_MAX_SIZE}; use at least {depth} levels")
         self.sizes = tuple(sizes)
-        self.fields, self._live = [], []
+        self.fields, self._taps = [], []
         for l in range(levels):
             coef = self._galerkin(l) if l else np.broadcast_to(POISSON_STENCIL, (m, n, 3, 3))
             self.fields.append(coef)
-            # taps that are zero everywhere (the corners of a 5-point field) are skipped
-            self._live.append(coef.any(axis=(0, 1)))
+            # (p, q) of the live taps; those zero everywhere (the corners of a
+            # 5-point field) are skipped
+            self._taps.append([(p, q) for p in range(3) for q in range(3)
+                               if coef[:, :, p, q].any()])
 
     def _galerkin(self, level: int) -> np.ndarray:
         """R A^l P, probed with the 9 colour vectors ``e[a::3, b::3] = 1``.
@@ -94,7 +99,9 @@ class PoissonHierarchy:
         return len(self.sizes)
 
     def _checked(self, u, level: int) -> np.ndarray:
-        if not 1 <= level <= self.levels:
+        # (int, np.integer), not numbers.Integral, whose isinstance is slow on this hot path
+        integral = isinstance(level, (int, np.integer)) and not isinstance(level, bool)
+        if not (integral and 1 <= level <= self.levels):
             raise ContractViolation(f"no operator at level {level} of {self.levels}")
         u = np.asarray(u, dtype=float)
         if u.shape != self.sizes[level - 1]:
@@ -105,13 +112,8 @@ class PoissonHierarchy:
     def apply(self, u: np.ndarray, level: int) -> np.ndarray:
         """A^l u for the level-l grid."""
         u = self._checked(u, level)
-        coef, live = self.fields[level - 1], self._live[level - 1]
-        m, n = u.shape
-        out = np.zeros((m, n))
-        for p, q, win in _windows(_pad(u[None, :, :, None], 1), 3, 1, m, n):
-            if live[p, q]:
-                out += coef[:, :, p, q] * win[0, :, :, 0]
-        return out
+        coef = self.fields[level - 1]
+        return stencil(u, [(p, q, coef[:, :, p, q]) for p, q in self._taps[level - 1]], 1)
 
     def _assemble(self, level: int) -> np.ndarray:
         """The level-l field as a dense (m_l n_l, m_l n_l) matrix."""
@@ -172,6 +174,11 @@ def _as_grid(f) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.ndim != 2:
         raise ContractViolation(f"expected an (m, n) grid, got shape {f.shape}")
+    if not np.isfinite(f).all():
+        bad = np.argwhere(~np.isfinite(f))
+        first = tuple(int(i) for i in bad[0])
+        raise ContractViolation(
+            f"right-hand side has {len(bad)} non-finite values (first {f[first]} at {first})")
     return f
 
 

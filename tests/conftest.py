@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from mgnet import autodiff as ad
-from mgnet.grid_transfer import restrict_kr
-from mgnet.tensor_core import ConvKernel
+from mgnet.grid_transfer import RESTRICT_LINEAR, restrict_kr
+from mgnet.tensor_core import ConvKernel, conv2d
 from mgnet.training import _forward_logits, _one_hot
 
 
@@ -82,6 +82,13 @@ def restriction_matrix(m: int, n: int) -> np.ndarray:
         e.flat[j] = 1.0
         cols.append(restrict_kr(e).ravel())
     return np.stack(cols, axis=1)
+
+
+def conv_restrict(fine):
+    """Restriction as the network sees it: the one-channel stride-2 `conv2d`
+    with `RESTRICT_LINEAR` and a zero bias, all 9 taps."""
+    kern = ConvKernel(RESTRICT_LINEAR[:, :, None, None], np.zeros(1))
+    return conv2d(np.asarray(fine, dtype=float)[None, :, :, None], kern, stride=2)[0, :, :, 0]
 
 
 def reference_conv2d(x, kernel: ConvKernel, stride: int):

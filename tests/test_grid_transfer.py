@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from mgnet import tensor_core
 from mgnet.grid_transfer import RESTRICT_LINEAR, prolongate, prolongation_matrix, restrict_kr
-from mgnet.tensor_core import conv2d
+from mgnet.poisson_mg import PoissonHierarchy, solve_poisson
+from mgnet.tensor_core import ContractViolation, conv2d
 
-from conftest import from_matrix, restriction_matrix
+from conftest import conv_restrict, from_matrix, restriction_matrix
 
 # square, wide and tall coarse grids, down to the smallest the solver meets
 COARSE_SHAPES = [(3, 4), (2, 2), (5, 3)]
@@ -72,6 +74,33 @@ class TestRestrictKr:
         f = np.zeros((5, 5))
         f[2, 2] = 1.0
         np.testing.assert_array_equal(restrict_kr(f), [[0, 0, 0], [0, 1, 0], [0, 0, 0]])
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (33, 33), (65, 17)])
+    def test_bitwise_equal_to_conv(self, rng, shape):
+        # the stencil skips the zero corners and the zero bias the conv adds,
+        # so it must add the other products in the conv's order, from +0.0
+        fine = rng.standard_normal(shape)
+        fine.flat[::5] = -0.0
+        for grid in (fine, np.full(shape, -0.0)):
+            coarse, reference = restrict_kr(grid), conv_restrict(grid)
+            assert coarse.shape == (-(-shape[0] // 2), -(-shape[1] // 2))
+            np.testing.assert_array_equal(coarse, reference)
+            np.testing.assert_array_equal(np.signbit(coarse), np.signbit(reference))
+
+    @pytest.mark.parametrize("bad", [np.zeros((0, 3)), np.zeros((3, 3, 1))])
+    def test_rejects_empty_and_non_grid_input(self, bad):
+        with pytest.raises(ContractViolation, match="grid"):
+            restrict_kr(bad)
+
+    def test_solver_runs_without_the_conv_core(self, monkeypatch, rng):
+        # the hierarchy build and the cycle restrict through the stencil, not conv2d
+        def no_conv(*args, **kwargs):
+            raise AssertionError("the multigrid solver ran a convolution")
+        monkeypatch.setattr(tensor_core, "_conv_forward", no_conv)
+        with pytest.raises(AssertionError):
+            conv_restrict(np.ones((3, 3)))
+        h = PoissonHierarchy(65, 65, 5)
+        assert solve_poisson(rng.standard_normal((65, 65)), 5, hierarchy=h).converged
 
 
 class TestInterpolatePi:

@@ -188,6 +188,40 @@ class TestCounts:
         with pytest.raises(ContractViolation, match=message):
             call(np.ones((17, 17)))
 
+    @pytest.mark.parametrize("m,n,name", [(17.0, 17, "m"), (17, 17.0, "n"), (True, 17, "m")])
+    def test_grid_sizes_are_checked_integers(self, m, n, name):
+        with pytest.raises(ContractViolation, match=f"{name} must be an integer >= 1"):
+            PoissonHierarchy(m, n, 2)
+
+    @pytest.mark.parametrize("call", [
+        lambda h, u: h.apply(u, 1.5),
+        lambda h, u: h.apply(u, True),
+        lambda h, u: h.apply(u, 1.0),
+        lambda h, u: smooth(u, h, 1.5, 0.8),
+    ], ids=["apply-float", "apply-bool", "apply-integral-float", "smooth-float"])
+    def test_level_is_a_checked_integer(self, call):
+        h = PoissonHierarchy(9, 9, 2)
+        with pytest.raises(ContractViolation, match="no operator at level"):
+            call(h, np.ones((9, 9)))
+
+    def test_numpy_integer_level_accepted(self):
+        h = PoissonHierarchy(9, 9, 2)
+        u = np.ones((5, 5))
+        np.testing.assert_array_equal(h.apply(u, np.int64(2)), h.apply(u, 2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("run", [
+        lambda f: solve_poisson(f, 2),
+        lambda f: mg0(f, 2, [2, 2]),
+        lambda f: backslash_mg(f, 2, [2, 2]),
+    ], ids=["solve_poisson", "mg0", "backslash_mg"])
+    def test_non_finite_rhs_rejected(self, run, bad):
+        f = np.ones((9, 9))
+        f[0, 0] = f[4, 3] = bad
+        message = r"2 non-finite values \(first .* at \(0, 0\)\)"
+        with pytest.raises(ContractViolation, match=message):
+            run(f)
+
     def test_zero_rhs_solves_in_no_cycles(self):
         result = solve_poisson(np.zeros((9, 9)), 2)
         assert (result.u == 0).all()
