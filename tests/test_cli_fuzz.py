@@ -5,7 +5,8 @@ non-finite and malformed values mixed in, and `count-params` reads fuzzed
 JSON model configs.  `train` and `eval` are drawn only on paths that reject
 their input before the first epoch, so no drawn example trains a model.
 A second property feeds `eval` byte-level mutations of a trained checkpoint,
-and a third feeds `eval` and `train --epochs 1` mutations of a CIFAR file.
+and a third feeds `eval` and `train --epochs 1` mutations of a CIFAR-10
+or CIFAR-100 file.
 """
 
 import contextlib
@@ -258,42 +259,60 @@ def test_eval_of_a_mutated_checkpoint_ends_in_an_exit_code(trained_run, tmp_path
 
 @pytest.fixture(scope="module")
 def cifar_case(tmp_path_factory):
-    """A three-record CIFAR-10 file, a small 10-class model config and its checkpoint."""
+    """Per format, a three-record CIFAR file, a small model config of its
+    class count and that model's checkpoint."""
     d = tmp_path_factory.mktemp("cifar")
-    cifar_file(d / "data.bin", [0, 1, 2])
-    cfg = MgNetConfig(J=2, nu=(1, 1), c_u=4, c_f=4, in_channels=3, classes=10)
-    (d / "config.json").write_text(json.dumps(cfg.to_dict()))
-    save_checkpoint(d / "checkpoint.mgnet", init_weights(cfg).state_dict())
+    for fmt, labels in (("cifar10", [0, 1, 2]), ("cifar100", [97, 98, 99])):
+        cifar_file(d / f"{fmt}.bin", labels, label_bytes=LABEL_BYTES[fmt])
+        cfg = MgNetConfig(J=2, nu=(1, 1), c_u=4, c_f=4, in_channels=3, classes=CLASSES[fmt])
+        (d / f"{fmt}.json").write_text(json.dumps(cfg.to_dict()))
+        save_checkpoint(d / f"{fmt}.mgnet", init_weights(cfg).state_dict())
     return d
 
 
+LABEL_BYTES = {"cifar10": 1, "cifar100": 2}  # CIFAR-100: coarse, then the fine label
+CLASSES = {"cifar10": 10, "cifar100": 100}
 RECORD = 1 + 3 * 1024
+RECORD100 = 2 + 3 * 1024
 
 
 @settings(max_examples=20, deadline=timedelta(seconds=20), database=None, derandomize=True)
-@given(command=st.sampled_from(["eval", "train"]),
+@given(command=st.sampled_from(["eval", "train"]), fmt=st.sampled_from(["cifar10", "cifar100"]),
        mutation=st.tuples(st.sampled_from(BYTE_MUTATIONS), st.integers(0, 1 << 14),
                           st.integers(0, 1 << 14)))
 # a label byte flipped to 10, one whole record kept, the middle record cut out
-@example(command="eval", mutation=("flip", 0, 9))
-@example(command="train", mutation=("flip", RECORD, 9))
-@example(command="eval", mutation=("truncate", RECORD, 0))
-@example(command="train", mutation=("splice", RECORD, 2 * RECORD))
-def test_a_mutated_cifar_file_ends_in_an_exit_code(cifar_case, tmp_path_factory, command,
+@example(command="eval", fmt="cifar10", mutation=("flip", 0, 9))
+@example(command="train", fmt="cifar10", mutation=("flip", RECORD, 9))
+@example(command="eval", fmt="cifar10", mutation=("truncate", RECORD, 0))
+@example(command="train", fmt="cifar10", mutation=("splice", RECORD, 2 * RECORD))
+# the second record's fine label 98 flipped to 101, a cut inside the second
+# record, the middle record cut out, and a one-byte splice that shifts every
+# later record
+@example(command="eval", fmt="cifar100", mutation=("flip", RECORD100 + 1, 6))
+@example(command="train", fmt="cifar100", mutation=("flip", RECORD100 + 1, 6))
+@example(command="eval", fmt="cifar100", mutation=("truncate", RECORD100 + 100, 0))
+@example(command="train", fmt="cifar100", mutation=("splice", RECORD100, 2 * RECORD100))
+@example(command="eval", fmt="cifar100", mutation=("splice", RECORD100, RECORD100 + 1))
+def test_a_mutated_cifar_file_ends_in_an_exit_code(cifar_case, tmp_path_factory, command, fmt,
                                                   mutation):
     kind, a, b = mutation
     scratch = tmp_path_factory.mktemp("mutated_cifar")
-    data = MUTATIONS[kind]((cifar_case / "data.bin").read_bytes(), a, b, scratch)
+    data = MUTATIONS[kind]((cifar_case / f"{fmt}.bin").read_bytes(), a, b, scratch)
     (scratch / "data.bin").write_bytes(data)
-    argv = {"eval": ["eval", "--checkpoint", str(cifar_case / "checkpoint.mgnet")],
-            "train": ["train", "--config", str(cifar_case / "config.json"),
+    argv = {"eval": ["eval", "--checkpoint", str(cifar_case / f"{fmt}.mgnet"),
+                     "--config", str(cifar_case / f"{fmt}.json")],
+            "train": ["train", "--config", str(cifar_case / f"{fmt}.json"),
                       "--out", str(scratch / "run"), "--epochs", "1", "--batch-size", "2"]}
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = run_cli(argv[command] + ["--data", str(scratch / "data.bin")])
-    assert code in (0, 1, 2)
-    if kind == "flip" and max(data[::RECORD]) >= 10:
-        assert code == 2  # a label byte flipped outside CIFAR-10's classes
+        code = run_cli(argv[command] + ["--data", str(scratch / "data.bin"),
+                                        "--data-format", fmt])
+    # a file of whole records whose (fine) label bytes are all below the
+    # format's class count is valid; anything else is a format error
+    record = LABEL_BYTES[fmt] + 3 * 1024
+    labels = data[LABEL_BYTES[fmt] - 1::record]
+    valid = len(data) and len(data) % record == 0 and max(labels) < CLASSES[fmt]
+    assert code == (0 if valid else 2)
     if code == 0:
         if command == "eval":
             result = json.loads(out.getvalue().splitlines()[-1], parse_constant=_strict_float)

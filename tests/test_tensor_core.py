@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mgnet import tensor_core
 from mgnet.tensor_core import ContractViolation, ConvKernel, conv2d, relu, softmax
 from mgnet.poisson_mg import POISSON_STENCIL
 
@@ -110,6 +113,80 @@ class TestConv2d:
         x = rng.standard_normal((1, 5, 5, 1))
         with pytest.raises(ContractViolation, match="stride"):
             conv2d(x, identity_kernel(1), 0)
+
+
+def blocked_and_whole(monkeypatch, fn, block_bytes):
+    """`fn()` with `block_bytes` per conv block, and with the batch in one block."""
+    monkeypatch.setattr(tensor_core, "_BLOCK_BYTES", block_bytes)
+    blocked = fn()
+    monkeypatch.setattr(tensor_core, "_BLOCK_BYTES", 1 << 62)
+    return blocked, fn()
+
+
+def conv_case(rng, b, h, cin, cout, stride):
+    ho = -(-h // stride)
+    return (rng.standard_normal((b, h, h, cin)), rng.standard_normal((3, 3, cout, cin)),
+            rng.standard_normal(cout), rng.standard_normal((b, ho, ho, cout)))
+
+
+class TestBatchBlocks:
+    """The window core runs over blocks of whole images; how the batch is
+    cut must not change a bit at the shapes the networks run."""
+
+    # square convs and the image convs from 1 or 3 channels; 15x15 and 16x16
+    # at stride 2 still give each block 64 rows
+    @pytest.mark.parametrize("cin,cout", [(4, 4), (16, 16), (32, 32), (1, 4), (1, 16),
+                                          (3, 16), (3, 32)])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("h", [15, 16])
+    @pytest.mark.parametrize("b", [1, 3, 4, 17])
+    @pytest.mark.parametrize("images_per_block", [1, 2])
+    def test_bitwise_equal_to_one_block(self, rng, monkeypatch, images_per_block, b, h,
+                                        stride, cin, cout):
+        # b=3 and b=17 leave a remainder block of one image at two images per
+        # block; b=4 fills its blocks exactly
+        x, w, bias, g = conv_case(rng, b, h, cin, cout, stride)
+        # the forward's working set per image; the grad-input's, with cin and
+        # cout swapped, is the same wherever it is checked
+        ho = -(-h // stride)
+        image_bytes = ho * ho * (cin + 2 * cout) * 8
+        budget = 1 if images_per_block == 1 else 2 * image_bytes + image_bytes // 2
+        blocked, whole = blocked_and_whole(
+            monkeypatch, lambda: tensor_core._conv_forward(x, w, bias, stride), budget)
+        np.testing.assert_array_equal(blocked, whole)
+        if cin == cout:  # the networks take no gradient into the image channels
+            blocked, whole = blocked_and_whole(
+                monkeypatch, lambda: tensor_core._conv_grad_input(g, w, x.shape, stride),
+                budget)
+            np.testing.assert_array_equal(blocked, whole)
+
+    # A one-image block is a smaller GEMM, for which OpenBLAS may pick another
+    # kernel; at these shapes, which no network runs, the last bits of a tap's
+    # dot product can then differ.  The bound, 1e-14 of the largest output,
+    # is about 20 times the differences seen there (up to 5e-16).
+    @pytest.mark.parametrize("cin,cout", [(32, 16), (32, 8), (32, 4), (16, 3), (32, 1)])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("b", [3, 17])
+    def test_other_shapes_within_rounding(self, rng, monkeypatch, b, stride, cin, cout):
+        x, w, bias, g = conv_case(rng, b, 16, cin, cout, stride)
+        for fn in (lambda: tensor_core._conv_forward(x, w, bias, stride),
+                   lambda: tensor_core._conv_grad_input(g, w, x.shape, stride)):
+            blocked, whole = blocked_and_whole(monkeypatch, fn, 1)
+            np.testing.assert_allclose(blocked, whole, rtol=0,
+                                       atol=1e-14 * np.abs(whole).max())
+
+    def test_forward_peak_memory_is_one_output_and_a_block(self, rng):
+        # one image per block here; the whole-batch window copy, product and
+        # accumulator peaked at about four outputs
+        x = rng.standard_normal((32, 32, 32, 32))
+        kern = ConvKernel(rng.standard_normal((3, 3, 32, 32)), rng.standard_normal(32))
+        tracemalloc.start()
+        try:
+            out = conv2d(x, kern, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + (4 << 20)
 
 
 class TestRelu:
