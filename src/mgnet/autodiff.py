@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .tensor_core import (ContractViolation, _batch, _conv_forward, _conv_grad_input,
-                          _conv_grad_weights, _max_forward, _max_grad_input, softmax)
+                          _conv_grad_weights, _max_forward, _max_grad_input, _shifted_exp, softmax)
 
 _TAPE_STACK: list = []
 
@@ -207,7 +207,10 @@ def relu(x):
 def conv2d(x, kernel, stride: int = 1):
     """Differentiable counterpart of tensor_core.conv2d on (batch, h, w, c).
 
-    An input that is not a traced node (the images) gets no gradient.
+    An input that is not a traced node (the images) gets no gradient.  If it
+    is also one zero broadcast to every position (all strides 0), it is not
+    convolved: the output is the bias, added in `_conv_forward`'s order so the
+    values match bitwise, and the weights get a zero gradient.
     """
     if stride < 1:
         raise ContractViolation(f"stride must be >= 1, got {stride}")
@@ -218,6 +221,12 @@ def conv2d(x, kernel, stride: int = 1):
         if xd.shape[-1] != wd.shape[3]:
             raise ContractViolation(
                 f"input has {xd.shape[-1]} channels but kernel expects {wd.shape[3]}")
+        b, m, n, _ = xd.shape
+        if not traced_input and xd.size and not any(xd.strides) and xd.flat[0] == 0:
+            out = np.zeros((b, -(-m // stride), -(-n // stride), wd.shape[2]),
+                           dtype=np.result_type(xd, wd, bd))
+            out += bd
+            return out, lambda g: (None, np.zeros_like(wd), g.sum(axis=(0, 1, 2)))
         k = (wd.shape[0] - 1) // 2
 
         def vjp(g):
@@ -227,24 +236,6 @@ def conv2d(x, kernel, stride: int = 1):
         return _conv_forward(xd, wd, bd, stride), vjp
 
     return _emit((x, kernel.weights, kernel.bias), forward, op="conv2d")
-
-
-def conv2d_of_zeros(shape, kernel):
-    """`conv2d` of all-zero stride-1 input of `shape`: the bias at every position.
-
-    The weights stay an input (with a zero gradient), so a kernel seen only
-    here still registers all its parameters on the tape.
-    """
-    def forward(wd, bd):
-        out = np.zeros(shape[:-1] + (wd.shape[2],), dtype=np.result_type(wd, bd))
-        out += bd  # the order `_conv_forward` adds in, so the values match bitwise
-
-        def vjp(g):
-            return np.zeros_like(wd), g.sum(axis=tuple(range(g.ndim - 1)))
-
-        return out, vjp
-
-    return _emit((kernel.weights, kernel.bias), forward, op="conv2d_of_zeros")
 
 
 def max_pool(x, k: int = 1, stride: int = 2):
@@ -366,9 +357,7 @@ def softmax_cross_entropy(logits, labels):
     both are (batch, classes)."""
     def forward(z, y):
         z, y = _rows(z), np.asarray(y)
-        zmax = z.max(axis=1, keepdims=True)
-        e = np.exp(z - zmax)
-        total = e.sum(axis=1, keepdims=True)
+        zmax, e, total = _shifted_exp(z)
         out = (zmax[:, 0] + np.log(total[:, 0]) - (z * y).sum(axis=1)).mean()
         p = e / total
 

@@ -58,23 +58,14 @@ class _LinearMgOperators:
     def zero_features(self, f1):
         return np.zeros_like(f1)
 
-    def data_needed(self, level: int) -> bool:
-        return True
-
     def data_map(self, level: int, u):
         return self.h.apply(u, level)
-
-    def data_map_of_zeros(self, level: int, u):
-        return np.zeros_like(u)
 
     def extract(self, level: int, i: int, r):
         return smooth(r, self.h, level, self.omega)
 
     def restrict(self, level: int, x):
         return restrict_kr(x)
-
-    def zero_transfer(self, level: int) -> bool:
-        return self.pi_kernel is None
 
     def transfer(self, level: int, u):
         cm, cn = self.h.sizes[level]

@@ -82,12 +82,6 @@ class MgNetConfig:
             except (TypeError, ValueError) as exc:  # also bad JSON and bad field values
                 raise ContractViolation(f"{path}: not a valid model config: {exc}") from exc
 
-    # structural predicates used by both the forward pass and the counter
-
-    def data_needed(self, level: int) -> bool:
-        """Is f^level ever formed?  True until the trailing zero-smoothing tail."""
-        return any(v > 0 for v in self.nu[level - 1:])
-
     def head_site(self, level: int) -> bool:
         """Pi at this site is the fixed spatial average feeding the classifier."""
         return level == self.J - 1 and self.nu[self.J - 1] == 0
@@ -96,6 +90,11 @@ class MgNetConfig:
 # ---------------------------------------------------------------------------
 # parameter manifest, initialization, counting
 # ---------------------------------------------------------------------------
+
+def data_needed(nu, level: int) -> bool:
+    """Is f^level ever formed?  True until the trailing zero-smoothing tail."""
+    return any(v > 0 for v in nu[level - 1:])
+
 
 def parameter_shapes(cfg: MgNetConfig) -> dict:
     """Flat name -> shape map of every trainable scalar group."""
@@ -114,7 +113,7 @@ def parameter_shapes(cfg: MgNetConfig) -> dict:
     if cfg.shared_data_map:
         conv("shared/data_map", cfg.c_u, cfg.c_f)
     for l in range(1, cfg.J + 1):
-        if not cfg.data_needed(l):
+        if not data_needed(cfg.nu, l):
             break
         if not cfg.shared_data_map:
             conv(f"level{l}/data_map", cfg.c_u, cfg.c_f)
@@ -134,7 +133,7 @@ def parameter_shapes(cfg: MgNetConfig) -> dict:
                 for i in range(2, n_l + 1):
                     shapes[f"level{l}/step{i}/omega"] = ()
     for l in range(1, cfg.J):
-        if cfg.data_needed(l + 1):
+        if data_needed(cfg.nu, l + 1):
             conv(f"level{l}/restrict", cfg.c_f, cfg.c_f)
         if not cfg.head_site(l):
             if cfg.pi_variant == "pi1":
@@ -253,16 +252,15 @@ def _spatial(x) -> tuple:
 def run_smoothing_sweep(f1, nu, ops, variant: str = "single"):
     """Execute the per-level residual-correction sweep over an operator set.
 
-    `ops` supplies: zero_features(f1), data_map(l, u), data_map_of_zeros(l, u)
-    (the data map of all-zero features u), extract(l, i, r), restrict(l, x),
-    transfer(l, u), zero_transfer(l) (is transfer(l, .) all zero?),
-    data_needed(l), and for the semi-iterative variants alpha(l, i) /
+    `ops` supplies the operators A = data_map(l, u), B = extract(l, i, r),
+    R = restrict(l, x) and Pi = transfer(l, u), the start features
+    zero_features(f1), and for the semi-iterative variants alpha(l, i) /
     omega(l, i).  Returns (final features, trace).
 
+    f^l is formed only while `nu` has smoothing left at level l or below.
     Each iterate's data map A^l u is formed at most once: A^{l+1} u^{l+1,0}
     enters f^{l+1} and is the first step's residual term again, and the last
-    step's A^l u is the one the restriction reads.  All-zero features are
-    never convolved.
+    step's A^l u is the one the restriction reads.
     """
     if variant not in SMOOTHING_VARIANTS:
         raise ContractViolation(f"unknown smoothing variant {variant!r}")
@@ -271,7 +269,7 @@ def run_smoothing_sweep(f1, nu, ops, variant: str = "single"):
     f_l = f1
     u = ops.zero_features(f1)
     # A^l u^{l,0}, formed wherever f^l is (and read by level l's first residual)
-    mapped_start = ops.data_map_of_zeros(1, u) if ops.data_needed(1) else None
+    mapped_start = ops.data_map(1, u) if data_needed(nu, 1) else None
     for l in range(1, levels + 1):
         if f_l is not None and _spatial(f_l) != _spatial(u):
             raise ContractViolation(
@@ -308,9 +306,8 @@ def run_smoothing_sweep(f1, nu, ops, variant: str = "single"):
         if l < levels:
             u_next = ops.transfer(l, u)
             mapped_start = None
-            if ops.data_needed(l + 1):
-                mapped_start = (ops.data_map_of_zeros(l + 1, u_next) if ops.zero_transfer(l)
-                                else ops.data_map(l + 1, u_next))
+            if data_needed(nu, l + 1):
+                mapped_start = ops.data_map(l + 1, u_next)
                 f_l = ops.restrict(l, residual(len(history) - 1)) + mapped_start
             else:
                 f_l = None
@@ -327,13 +324,11 @@ class KernelOperators:
         self.training = training
 
     def zero_features(self, f1):
-        # a read-only broadcast of one zero: the sweep only adds to it, and a
-        # full-size buffer would be allocated and freed on every forward
+        # a read-only broadcast of one zero: the sweep only adds to it, a
+        # full-size buffer would be allocated and freed on every forward, and
+        # `ad.conv2d` maps it to its bias without convolving
         d = value(f1)
         return np.broadcast_to(np.zeros((), dtype=d.dtype), d.shape[:-1] + (self.cfg.c_u,))
-
-    def data_needed(self, level: int) -> bool:
-        return self.cfg.data_needed(level)
 
     def apply_bn(self, site: str, x):
         if not self.cfg.use_batchnorm:
@@ -356,9 +351,6 @@ class KernelOperators:
     def data_map(self, level: int, u):
         return ad.conv2d(u, self.w.data_map_kernel(level), 1)
 
-    def data_map_of_zeros(self, level: int, u):
-        return ad.conv2d_of_zeros(value(u).shape, self.w.data_map_kernel(level))
-
     def extract(self, level: int, i: int, r):
         kern, site = self.w.extract_kernel(level, i)
         h = ad.relu(r)
@@ -372,17 +364,12 @@ class KernelOperators:
     def restrict(self, level: int, x):
         return ad.conv2d(x, self.w.kernel(f"level{level}/restrict"), 2)
 
-    def zero_transfer(self, level: int) -> bool:
-        return self.cfg.pi_variant == "pi0" and not self.cfg.head_site(level)
-
     def transfer(self, level: int, u):
         cfg = self.cfg
         if cfg.head_site(level):
             return ad.spatial_mean(u)
         if cfg.pi_variant == "pi0":
-            d = value(u)
-            b, m, n, c = d.shape
-            return np.zeros((b, -(-m // 2), -(-n // 2), c), dtype=d.dtype)
+            return self.zero_features(value(u)[:, ::2, ::2])  # zeros on the coarse grid
         kern = self.w.kernel(f"level{level}/pi")
         if cfg.pi_variant == "pi2":
             # expand the single trainable channel to a grouped kernel:

@@ -227,10 +227,16 @@ def relu(input: Tensor) -> Tensor:
     return np.maximum(np.asarray(input), 0.0)
 
 
+def _shifted_exp(z: np.ndarray):
+    """(max, exp(z - max), sum of those) over the last axis: the one
+    log-sum-exp, max-shifted for overflow safety."""
+    zmax = z.max(axis=-1, keepdims=True)
+    e = np.exp(z - zmax)
+    return zmax, e, e.sum(axis=-1, keepdims=True)
+
+
 def softmax(logits) -> np.ndarray:
-    """Exponential normalization over the last axis, max-shifted for overflow safety."""
-    z = np.asarray(logits, dtype=np.float64)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Exponential normalization over the last axis."""
+    _, e, total = _shifted_exp(np.asarray(logits, dtype=np.float64))
+    return e / total
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from mgnet import autodiff as ad
 from mgnet.autodiff import Node, Parameter, Tape, backward, value
 from mgnet.data_io import gen_synthetic
 from mgnet.mgnet_model import MgNetConfig, init_weights, mgnet_forward
-from mgnet.tensor_core import ContractViolation, ConvKernel, conv2d
+from mgnet.tensor_core import (ContractViolation, ConvKernel, _conv_forward,
+                               _conv_grad_weights, conv2d)
 
 from conftest import identity_kernel, mean_all, reference_backward, traced_loss
 
@@ -202,9 +205,10 @@ class TestGradientsAgainstFiniteDifferences:
         w = Parameter("w", 0.4 * rng.standard_normal((3, 3, 3, 2)))
         b = Parameter("b", 0.1 * rng.standard_normal(3))
         probe = rng.standard_normal((2, 4, 5, 3))
+        zeros = np.broadcast_to(0.0, (2, 4, 5, 2))  # taken without convolving
 
         def build():
-            out = ad.conv2d_of_zeros((2, 4, 5, 2), ConvKernel(w, b))
+            out = ad.conv2d(zeros, ConvKernel(w, b))
             return mean_all(ad.mul(out, probe))
 
         grads = analytic_grads(build)
@@ -247,19 +251,56 @@ class TestGradientsAgainstFiniteDifferences:
             check_param(build, p)
 
 
+def count_calls(monkeypatch, name):
+    """A list that grows by one on every call of the conv kernel `ad.<name>`."""
+    calls = []
+    real = getattr(ad, name)
+    monkeypatch.setattr(ad, name, lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
 class TestConvAndBatchnormWork:
-    def test_conv_of_zeros_matches_conv_bitwise(self, rng):
-        kern = ConvKernel(rng.standard_normal((3, 3, 4, 2)), rng.standard_normal(4))
-        for shape in ((1, 5, 6, 2), (3, 5, 6, 2)):
+    def test_conv_of_zeros_matches_conv_bitwise(self, rng, monkeypatch):
+        w = Parameter("w", rng.standard_normal((3, 3, 4, 2)))
+        b = Parameter("b", rng.standard_normal(4))
+        calls = count_calls(monkeypatch, "_conv_forward")
+        for shape, stride in itertools.product(((1, 5, 6, 2), (3, 5, 6, 2)), (1, 2)):
             zeros = np.zeros(shape)
-            assert (ad.conv2d_of_zeros(shape, kern).tobytes()
-                    == ad.conv2d(zeros, kern, 1).tobytes())
+            with Tape() as tape:
+                out = ad.conv2d(np.broadcast_to(0.0, shape), ConvKernel(w, b), stride)
+            assert not calls
+            assert set(tape.params) == {"w", "b"}
+            assert out.data.tobytes() == _conv_forward(zeros, w.data, b.data, stride).tobytes()
+            g = rng.standard_normal(out.shape)
+            gx, gw, gb = out.vjp(g)
+            assert gx is None
+            assert gw.tobytes() == _conv_grad_weights(zeros, g, 1, stride).tobytes()
+            assert gb.tobytes() == g.sum(axis=(0, 1, 2)).tobytes()
+
+    @pytest.mark.parametrize("case", ["dense_zeros", "traced_zeros", "broadcast_nan"])
+    def test_only_untraced_broadcast_zero_skips_the_conv(self, rng, monkeypatch, case):
+        kern = ConvKernel(Parameter("w", rng.standard_normal((3, 3, 4, 2))),
+                          Parameter("b", rng.standard_normal(4)))
+        shape = (2, 5, 6, 2)
+        x = {"dense_zeros": np.zeros(shape),
+             "traced_zeros": Node(np.broadcast_to(0.0, shape)),
+             "broadcast_nan": np.broadcast_to(np.nan, shape)}[case]
+        calls = count_calls(monkeypatch, "_conv_forward")
+        with Tape() as tape:
+            out = ad.conv2d(x, kern)
+            loss = mean_all(out)
+        assert len(calls) == 1
+        if case == "broadcast_nan":
+            assert np.isnan(value(out)).all()
+            return
+        want = _conv_forward(np.zeros(shape), value(kern.weights), value(kern.bias), 1)
+        assert value(out).tobytes() == want.tobytes()
+        backward(tape, loss)
+        if case == "traced_zeros":
+            assert x.grad is not None and x.grad.shape == shape  # the grad-input still runs
 
     def test_conv_skips_grad_input_of_untraced_input(self, rng, monkeypatch):
-        calls = []
-        real = ad._conv_grad_input
-        monkeypatch.setattr(ad, "_conv_grad_input",
-                            lambda *a: calls.append(1) or real(*a))
+        calls = count_calls(monkeypatch, "_conv_grad_input")
         w = Parameter("w", rng.standard_normal((3, 3, 2, 2)))
         b = Parameter("b", rng.standard_normal(2))
         x = rng.standard_normal((2, 5, 5, 2))

@@ -1,5 +1,7 @@
-"""The benchmark's tracer wraps mgnet entry points by name; each must resolve."""
+"""The benchmark reaches mgnet by name: the entry points its tracer wraps and
+the attributes its session reads must all resolve."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import pytest
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "mgbench" / "spans.py"
+SESSION_PATH = SPANS_PATH.with_name("session.py")
 
 
 def load_spans():
@@ -17,6 +20,22 @@ def load_spans():
 
 
 spans = load_spans()
+
+
+def session_attributes() -> list:
+    """(module, attribute) for every ``<module>.<attribute>`` read in
+    mgbench/session.py on a module it imports from mgnet."""
+    tree = ast.parse(SESSION_PATH.read_text())
+    modules = {alias.asname or alias.name: alias.name
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "mgnet"
+               for alias in node.names}
+    return sorted({(modules[node.value.id], node.attr) for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id in modules})
+
+
+SESSION_ATTRIBUTES = session_attributes()
 
 
 @pytest.mark.parametrize("module,attr", spans.FUNCTIONS,
@@ -30,6 +49,16 @@ def test_traced_function_resolves(module, attr):
 def test_traced_method_resolves(module, cls, method):
     owner = getattr(importlib.import_module(f"mgnet.{module}"), cls)
     assert callable(owner.__dict__[method])
+
+
+def test_session_reads_some_attributes():
+    assert ("mgnet_model", "mgnet_forward") in SESSION_ATTRIBUTES
+
+
+@pytest.mark.parametrize("module,attr", SESSION_ATTRIBUTES,
+                         ids=[f"{m}.{a}" for m, a in SESSION_ATTRIBUTES])
+def test_session_attribute_resolves(module, attr):
+    assert hasattr(importlib.import_module(f"mgnet.{module}"), attr)
 
 
 def test_traced_training_step_and_eval():
@@ -51,11 +80,13 @@ def test_traced_training_step_and_eval():
         tracer.active = False
         tracer.uninstall()
     table = tracer.table()
-    # per forward: theta0, 7 data maps (u^{1,0}'s is its bias alone), 6 extractors,
-    # 2 restrictions and 2 interpolations; one training forward plus one eval
-    assert table["autodiff.conv2d"]["calls"] == 2 * 18
-    assert table["autodiff.vjp.conv2d"]["calls"] == 18
-    assert table["autodiff.vjp.conv2d_of_zeros"]["calls"] == 1
+    # per forward: theta0, 8 data maps, 6 extractors, 2 restrictions and 2
+    # interpolations; one training forward plus one eval.  The data map of the
+    # all-zero u^{1,0} is an `autodiff.conv2d` call and record like any other;
+    # its forward and vjp only take the bias, without convolving
+    assert table["autodiff.conv2d"]["calls"] == 2 * 19
+    assert table["autodiff.vjp.conv2d"]["calls"] == 19
+    assert "autodiff.vjp.conv2d_of_zeros" not in table
     for name in ("autodiff.batchnorm", "mgnet_model.KernelOperators.apply_bn",
                  "training.sgd_momentum_step", "mgnet_model.mgnet_forward.eval"):
         assert table[name]["calls"] > 0, name

@@ -134,10 +134,7 @@ class TestForward:
             def zero_features(self, f1):
                 return np.zeros((1, 5, 5, cfg.c_u))  # wrong grid on purpose
 
-            def data_needed(self, level):
-                return True
-
-            def data_map_of_zeros(self, level, u):
+            def data_map(self, level, u):
                 return np.zeros(np.shape(u)[:-1] + (cfg.c_f,))
 
         with pytest.raises(ContractViolation, match="level 1"):
@@ -228,14 +225,8 @@ class TestVariants:
             def zero_features(self, f1):
                 return np.zeros(m)
 
-            def data_needed(self, level):
-                return True
-
             def data_map(self, level, u):
                 return a_mat @ u
-
-            def data_map_of_zeros(self, level, u):
-                return np.zeros(m)
 
             def extract(self, level, i, r):
                 return b_mat @ r
@@ -542,12 +533,81 @@ class TestSweepWork:
         # last level's final iterate is never mapped
         cfg = sweep_config("multi", "pi1", use_batchnorm=False)
         per_level = {l: 0 for l in range(1, cfg.J + 1)}
-        for name in ("data_map", "data_map_of_zeros"):
-            real = getattr(KernelOperators, name)
+        real = KernelOperators.data_map
 
-            def counted(self, level, u, _real=real):
-                per_level[level] += 1
-                return _real(self, level, u)
-            monkeypatch.setattr(KernelOperators, name, counted)
+        def counted(self, level, u):
+            per_level[level] += 1
+            return real(self, level, u)
+        monkeypatch.setattr(KernelOperators, "data_map", counted)
         mgnet_forward(rng.random((1, 9, 9, 2)), cfg, init_weights(cfg, seed=0))
         assert list(per_level.values()) == [4, 3, 2]  # nu = (3, 2, 2)
+
+    @pytest.mark.parametrize("nu", [(2, 3, 1), (2, 1, 0, 0)], ids=["full", "zero_tail"])
+    @pytest.mark.parametrize("variant", ["single", "multi", "chebyshev"])
+    def test_sweep_needs_only_the_protocol(self, rng, variant, nu):
+        # A, B, R, Pi, the start features and the step weights: any other
+        # method the sweep asked for would raise AttributeError
+        m = 5
+        mats = {name: 0.3 * rng.standard_normal((len(nu), m, m)) + np.eye(m)
+                for name in ("A", "B", "R", "Pi")}
+        alphas = {i: rng.random(i) + 0.1 for i in range(1, 4)}
+        mapped = []
+
+        class ProtocolOps:
+            def zero_features(self, f1):
+                return np.zeros_like(f1)
+
+            def data_map(self, level, u):
+                mapped.append(level)
+                return mats["A"][level - 1] @ u
+
+            def extract(self, level, i, r):
+                return mats["B"][level - 1] @ r
+
+            def restrict(self, level, x):
+                return mats["R"][level - 1] @ x
+
+            def transfer(self, level, u):
+                return mats["Pi"][level - 1] @ u
+
+            def alpha(self, level, i):
+                return alphas[i]
+
+            def omega(self, level, i):
+                return 0.5 + 0.1 * i
+
+        f = rng.standard_normal(m)
+        u_final, trace = run_smoothing_sweep(f, nu, ProtocolOps(), variant)
+
+        # the same sweep in textbook order: every A u formed where it is read
+        def a(l, u):
+            return mats["A"][l - 1] @ u
+
+        def step(l, u, f_l):
+            return u + mats["B"][l - 1] @ (f_l - a(l, u))
+
+        u, f_l = np.zeros(m), f
+        for l, n_l in enumerate(nu, 1):
+            history = [u]
+            for i in range(1, n_l + 1):
+                if variant == "multi":
+                    u = sum(alphas[i][j] * step(l, u_j, f_l) for j, u_j in enumerate(history))
+                elif variant == "chebyshev" and i > 1:
+                    omega = 0.5 + 0.1 * i
+                    u = omega * step(l, u, f_l) + (1.0 - omega) * history[-2]
+                else:
+                    u = step(l, u, f_l)
+                history.append(u)
+            if f_l is None:
+                assert trace.f_levels[l - 1] is None
+            else:
+                np.testing.assert_allclose(trace.f_levels[l - 1], f_l, atol=1e-12)
+            for got, want in zip(trace.u_iterates[l - 1], history, strict=True):
+                np.testing.assert_allclose(got, want, atol=1e-12)
+            if l < len(nu):
+                u_next = mats["Pi"][l - 1] @ u
+                f_l = (mats["R"][l - 1] @ (f_l - a(l, u)) + a(l + 1, u_next)
+                       if any(nu[l:]) else None)
+                u = u_next
+        np.testing.assert_allclose(u_final, u, atol=1e-12)
+        assert set(mapped) == {l for l in range(1, len(nu) + 1) if any(nu[l - 1:])}
