@@ -41,10 +41,9 @@ class EquivalenceReport:
                 "passed": self.passed()}
 
 
-def _rand_kernel(rng, k, cin, cout, scale=0.5, bias=True) -> ConvKernel:
-    kk = 2 * k + 1
-    return ConvKernel(scale * rng.standard_normal((kk, kk, cout, cin)),
-                      scale * rng.standard_normal(cout) if bias else np.zeros(cout))
+def _rand_kernel(rng, cin, cout, scale=0.5) -> ConvKernel:
+    return ConvKernel(scale * rng.standard_normal((3, 3, cout, cin)),
+                      scale * rng.standard_normal(cout))
 
 
 class _LinearMgOperators:
@@ -91,8 +90,8 @@ def verify_mgnet_mg0(size: int = 17, levels: int = 3, nu=(2, 2, 2), omega: float
     instances = 0
     pi_choices = {
         "pi0": None,
-        "pi1": _rand_kernel(rng, 1, 1, 1),
-        "pi2": _rand_kernel(rng, 1, 1, 1),
+        "pi1": _rand_kernel(rng, 1, 1),
+        "pi2": _rand_kernel(rng, 1, 1),
     }
     for pi_kernel in pi_choices.values():
         ops = _LinearMgOperators(hierarchy, omega, pi_kernel)
@@ -152,8 +151,8 @@ def verify_resnet_sigma_transform(block_count: int = 4, channels: int = 8,
     g evolves by the transformed step and sigma(g^i) recovers f^i exactly.
     """
     rng = np.random.default_rng(seed)
-    kernels = [(_rand_kernel(rng, 1, channels, channels, 0.4),
-                _rand_kernel(rng, 1, channels, channels, 0.4))
+    kernels = [(_rand_kernel(rng, channels, channels, 0.4),
+                _rand_kernel(rng, channels, channels, 0.4))
                for _ in range(block_count)]
     f = rng.standard_normal((1, size, size, channels))
 
@@ -219,7 +218,7 @@ def verify_cnn_embedding(layers: int = 2, channels: int = 3, size: int = 6,
         worst = max(worst, float(np.abs(out - (-x)).max()))
         instances += 1
 
-    chis = [_rand_kernel(rng, 1, channels, channels, 0.5) for _ in range(layers)]
+    chis = [_rand_kernel(rng, channels, channels, 0.5) for _ in range(layers)]
     extractors = [doubled_extractor(chi) for chi in chis]
 
     f_plain = rng.standard_normal((1, size, size, channels))

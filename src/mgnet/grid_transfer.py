@@ -3,8 +3,8 @@ stencil routine that restriction shares with the multigrid level operators.
 
 Prolongation is linear nodal interpolation.  Restriction is the stride-2,
 zero-padded stencil of one fixed 3x3 kernel: the one-channel case of the
-networks' strided convolution, run by `stencil` on the kernel's 7 nonzero
-taps, the same routine that applies every level operator at stride 1.  On
+networks' strided convolution, run by `stencil` on the ``{(p, q): c}`` map
+of the kernel's 7 nonzero taps, as every level operator is at stride 1.  On
 the nodal chain ``m_l = 2^(s-l+1) + 1`` used by the multigrid solver the two
 transfers are exact adjoints of each other; on any other grid restriction
 maps m_l to ``ceil(m_l / 2)`` like the networks' strided convolutions.
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor_core import ContractViolation, _pad, _windows
+from .tensor_core import ContractViolation, _pad, _taps
 
 # fine-to-coarse kernel; equals the transpose of `prolongate` when grids are
 # nodal chains (verified entrywise in the tests)
@@ -22,26 +22,28 @@ RESTRICT_LINEAR = np.array([[0.0, 0.5, 0.5],
                             [0.5, 1.0, 0.5],
                             [0.5, 0.5, 0.0]])
 # its nonzero taps (all but the two zero corners) in row-major order
-RESTRICT_TAPS = [(p, q, RESTRICT_LINEAR[p, q]) for p in range(3) for q in range(3)
-                 if RESTRICT_LINEAR[p, q]]
+RESTRICT_TAPS = {(p, q): RESTRICT_LINEAR[p, q] for p in range(3) for q in range(3)
+                 if RESTRICT_LINEAR[p, q]}
 
 
-def stencil(grid: np.ndarray, taps, stride: int) -> np.ndarray:
+def stencil(grid: np.ndarray, taps: dict, stride: int) -> np.ndarray:
     """Zero-padded 3x3 stencil of an (m, n) grid at `stride`.
 
-    ``taps`` lists the live taps (p, q, c): at output (i, j) of the
-    (ceil(m/stride), ceil(n/stride)) result, tap (p, q) reads
+    ``taps`` maps each live tap (p, q) to its coefficient c: at output (i, j)
+    of the (ceil(m/stride), ceil(n/stride)) result, tap (p, q) reads
     ``grid[stride*i + p - 1, stride*j + q - 1]``, zero outside the grid, and
     ``c`` is a scalar or an array of the output's shape.  The products are
-    added in list order, starting from +0.0; a tap left out adds nothing.
+    added in the map's order, starting from +0.0; a tap left out adds nothing.
     """
     m, n = grid.shape
     ho, wo = -(-m // stride), -(-n // stride)
-    windows = list(_windows(_pad(grid[None, :, :, None], 1)[..., 0], 3, stride, ho, wo))
-    out = np.zeros((1, ho, wo))
-    for p, q, c in taps:
-        out += c * windows[3 * p + q][2]
-    return out[0]
+    xp = _pad(grid[None, :, :, None], 1)[0, :, :, 0]
+    windows = _taps(3, stride, ho, wo)
+    out = np.zeros((ho, wo))
+    for (p, q), c in taps.items():
+        _, _, rows, cols = windows[3 * p + q]
+        out += c * xp[rows, cols]
+    return out
 
 
 def prolongate(coarse: np.ndarray) -> np.ndarray:

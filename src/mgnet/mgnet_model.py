@@ -22,6 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, value
+from .poisson_mg import MgTrace
 from .tensor_core import ContractViolation, ConvKernel, _check_count, softmax
 
 SMOOTHING_VARIANTS = ("single", "multi", "chebyshev")
@@ -101,9 +102,8 @@ def parameter_shapes(cfg: MgNetConfig) -> dict:
     kk = 2 * cfg.kernel_half_width + 1
     shapes: dict[str, tuple] = {}
 
-    def conv(prefix, cin, cout, size=None, bn=False):
-        s = size or kk
-        shapes[f"{prefix}/weights"] = (s, s, cout, cin)
+    def conv(prefix, cin, cout, bn=False):
+        shapes[f"{prefix}/weights"] = (kk, kk, cout, cin)
         shapes[f"{prefix}/bias"] = (cout,)
         if bn and cfg.use_batchnorm:
             shapes[f"{prefix}/bn/gamma"] = (cout,)
@@ -232,16 +232,8 @@ def init_weights(cfg: MgNetConfig, seed: int = 0) -> MgNetWeights:
 
 
 # ---------------------------------------------------------------------------
-# the sweep skeleton and trace
+# the sweep skeleton
 # ---------------------------------------------------------------------------
-
-@dataclass
-class MgNetTrace:
-    """Per-level record of the fine-to-coarse sweep."""
-
-    f_levels: list = field(default_factory=list)   # f^l (None once data stops)
-    u_iterates: list = field(default_factory=list)  # [u^{l,0}, ..., u^{l,nu_l}]
-
 
 def _spatial(x) -> tuple:
     """The (h, w) grid of (batch, h, w, c) features; () once averaged to (batch, c)."""
@@ -255,7 +247,7 @@ def run_smoothing_sweep(f1, nu, ops, variant: str = "single"):
     `ops` supplies the operators A = data_map(l, u), B = extract(l, i, r),
     R = restrict(l, x) and Pi = transfer(l, u), the start features
     zero_features(f1), and for the semi-iterative variants alpha(l, i) /
-    omega(l, i).  Returns (final features, trace).
+    omega(l, i).  Returns (final features, `poisson_mg.MgTrace` of the sweep).
 
     f^l is formed only while `nu` has smoothing left at level l or below.
     Each iterate's data map A^l u is formed at most once: A^{l+1} u^{l+1,0}
@@ -265,7 +257,7 @@ def run_smoothing_sweep(f1, nu, ops, variant: str = "single"):
     if variant not in SMOOTHING_VARIANTS:
         raise ContractViolation(f"unknown smoothing variant {variant!r}")
     levels = len(nu)
-    trace = MgNetTrace()
+    trace = MgTrace()
     f_l = f1
     u = ops.zero_features(f1)
     # A^l u^{l,0}, formed wherever f^l is (and read by level l's first residual)

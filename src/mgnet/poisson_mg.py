@@ -1,15 +1,16 @@
 """Discrete 2-D Poisson problem and a geometric multigrid solver.
 
-Every level's operator is a 3x3 stencil field applied with zero padding
-(a Dirichlet-type truncation at the boundary, which makes it SPD) by
-`grid_transfer.stencil`, the routine restriction runs at stride 2.  Level 1
-is the constant 5-point stencil; coarse fields are the Galerkin triple
-products R A P with R = P^T, probed through the transfers themselves.
-Smoothing is damped Jacobi scaled by the centre tap of each level's own
-field, so the smoother needs no second per-level representation.
+Every level's operator is the map of its live 3x3 stencil taps, applied
+with zero padding (a Dirichlet-type truncation at the boundary, which makes
+it SPD) by `grid_transfer.stencil`, the routine restriction runs at stride 2.
+Level 1 is the constant 5-point stencil, one scalar per tap; coarse levels
+hold one coefficient plane per tap, from the Galerkin triple products R A P
+with R = P^T, probed through the transfers themselves.  Smoothing is damped
+Jacobi scaled by the centre tap of each level's own map, so the smoother
+needs no second per-level representation.
 
 The backslash cycle smooths every level but the coarsest, which it solves
-exactly with a dense inverse, assembled from that level's field on the
+exactly with a dense inverse, assembled from that level's taps on the
 hierarchy's first coarse solve; this makes the cycle's convergence factor
 independent of depth.  The coarsest grid is therefore capped at
 ``COARSEST_MAX_SIZE`` per side (33x33: 1,089 unknowns, a 9.5 MB inverse).
@@ -23,26 +24,32 @@ from functools import cached_property
 import numpy as np
 
 from .grid_transfer import prolongate, restrict_kr, stencil
-from .tensor_core import ContractViolation, _check_count, _windows
+from .tensor_core import ContractViolation, _check_count, _taps
 
 POISSON_STENCIL = np.array([[0.0, -1.0, 0.0],
                             [-1.0, 4.0, -1.0],
                             [0.0, -1.0, 0.0]])
+# its nonzero taps (the 5-point cross) in row-major order
+POISSON_TAPS = {(p, q): POISSON_STENCIL[p, q] for p in range(3) for q in range(3)
+                if POISSON_STENCIL[p, q]}
 
 # largest coarsest-grid side the hierarchy inverts densely
 COARSEST_MAX_SIZE = 33
 
 
 class PoissonHierarchy:
-    """Grids, grid transfers and one Galerkin stencil field per level.
+    """Grids, grid transfers and one Galerkin stencil per level.
 
     ``sizes[l - 1]`` is the level-l grid (m_l, n_l) of the nodal chain
     m -> (m+1)/2 -> ..., which needs an odd size >= 3 at every level and a
     coarsest grid of at most ``COARSEST_MAX_SIZE`` per side.  ``fields[l - 1]``
-    is the level-l operator A^l as a variable-coefficient 3x3 stencil field
-    of shape (m_l, n_l, 3, 3): ``fields[l - 1][i, j, p, q]`` multiplies
-    ``u[i + p - 1, j + q - 1]``, and samples outside the grid read zero.  The
-    transfers are `prolongate` and its transpose `restrict_kr`.
+    is the level-l operator A^l as its live taps ``{(p, q): c}`` in row-major
+    order: at (i, j), tap (p, q) multiplies ``u[i + p - 1, j + q - 1]`` by
+    ``c`` (by ``c[i, j]`` when ``c`` is an (m_l, n_l) plane), and samples
+    outside the grid read zero.  Level 1 holds this hierarchy's own copy of
+    `POISSON_TAPS`, one scalar per tap; a coarser level holds one plane per
+    tap that is not zero everywhere.  The transfers are `prolongate` and its
+    transpose `restrict_kr`.
     """
 
     def __init__(self, m: int, n: int, levels: int):
@@ -65,22 +72,19 @@ class PoissonHierarchy:
                 f"coarsest grid {sizes[-1][0]}x{sizes[-1][1]} of {m}x{n} at depth {levels} "
                 f"exceeds {COARSEST_MAX_SIZE}x{COARSEST_MAX_SIZE}; use at least {depth} levels")
         self.sizes = tuple(sizes)
-        self.fields, self._taps = [], []
-        for l in range(levels):
-            coef = self._galerkin(l) if l else np.broadcast_to(POISSON_STENCIL, (m, n, 3, 3))
-            self.fields.append(coef)
-            # (p, q) of the live taps; those zero everywhere (the corners of a
-            # 5-point field) are skipped
-            self._taps.append([(p, q) for p in range(3) for q in range(3)
-                               if coef[:, :, p, q].any()])
+        self.fields = [dict(POISSON_TAPS)]
+        for l in range(1, levels):
+            self.fields.append(self._galerkin(l))
 
-    def _galerkin(self, level: int) -> np.ndarray:
-        """R A^l P, probed with the 9 colour vectors ``e[a::3, b::3] = 1``.
+    def _galerkin(self, level: int) -> dict:
+        """The live taps of R A^l P, probed with the 9 colour vectors
+        ``e[a::3, b::3] = 1``.
 
-        A 3x3 field stays 3x3 under Galerkin coarsening with linear
+        A 3x3 stencil stays 3x3 under Galerkin coarsening with linear
         prolongation, and a 3x3 neighbourhood meets each colour once, so the
         probe of the colour of (i + p - 1, j + q - 1), read at (i, j), is
-        exactly the tap (p, q) of row (i, j).
+        exactly the tap (p, q) of row (i, j).  Taps that are zero everywhere
+        are dropped.
         """
         cm, cn = self.sizes[level]
         probes = np.empty((3, 3, cm, cn))
@@ -89,10 +93,10 @@ class PoissonHierarchy:
                 e = np.zeros((cm, cn))
                 e[a::3, b::3] = 1.0
                 probes[a, b] = restrict_kr(self.apply(prolongate(e), level))
-        i = np.arange(cm)[:, None, None, None]
-        j = np.arange(cn)[None, :, None, None]
-        p, q = np.arange(3)[:, None], np.arange(3)
-        return probes[(i + p - 1) % 3, (j + q - 1) % 3, i, j]
+        i, j = np.arange(cm)[:, None], np.arange(cn)
+        planes = {(p, q): probes[(i + p - 1) % 3, (j + q - 1) % 3, i, j]
+                  for p in range(3) for q in range(3)}
+        return {tap: c for tap, c in planes.items() if c.any()}
 
     @property
     def levels(self) -> int:
@@ -111,21 +115,20 @@ class PoissonHierarchy:
 
     def apply(self, u: np.ndarray, level: int) -> np.ndarray:
         """A^l u for the level-l grid."""
-        u = self._checked(u, level)
-        coef = self.fields[level - 1]
-        return stencil(u, [(p, q, coef[:, :, p, q]) for p, q in self._taps[level - 1]], 1)
+        return stencil(self._checked(u, level), self.fields[level - 1], 1)
 
     def _assemble(self, level: int) -> np.ndarray:
-        """The level-l field as a dense (m_l n_l, m_l n_l) matrix."""
-        coef = self.fields[level - 1]
+        """The level-l taps as a dense (m_l n_l, m_l n_l) matrix."""
         m, n = self.sizes[level - 1]
         rows = np.arange(m * n).reshape(m, n)
-        cols = np.pad(rows, 1, constant_values=-1)[None, :, :, None]
+        padded = np.pad(rows, 1, constant_values=-1)
+        windows = _taps(3, 1, m, n)
         a = np.zeros((m * n, m * n))
-        for p, q, win in _windows(cols, 3, 1, m, n):
-            col = win[0, :, :, 0]
+        for (p, q), c in self.fields[level - 1].items():
+            _, _, win_rows, win_cols = windows[3 * p + q]
+            col = padded[win_rows, win_cols]
             inside = col >= 0
-            a[rows[inside], col[inside]] = coef[:, :, p, q][inside]
+            a[rows[inside], col[inside]] = np.broadcast_to(c, (m, n))[inside]
         return a
 
     @cached_property
@@ -140,7 +143,7 @@ class PoissonHierarchy:
     def direct_solve(self, f: np.ndarray) -> np.ndarray:
         """Dense solve on the finest grid, used as the reference solution.
 
-        The (mn, mn) matrix is assembled from the level-1 field on each call.
+        The (mn, mn) matrix is assembled from the level-1 taps on each call.
         """
         f = self._checked(f, 1)
         return np.linalg.solve(self._assemble(1), f.ravel()).reshape(f.shape)
@@ -152,16 +155,16 @@ def _check_omega(omega: float) -> None:
 
 
 def smooth(r: np.ndarray, hierarchy: PoissonHierarchy, level: int, omega: float) -> np.ndarray:
-    """Damped Jacobi correction omega D^-1 r, D the diagonal of the level's field."""
+    """Damped Jacobi correction omega D^-1 r, D the centre tap of the level's operator."""
     _check_omega(omega)
-    return omega * hierarchy._checked(r, level) / hierarchy.fields[level - 1][:, :, 1, 1]
+    return omega * hierarchy._checked(r, level) / hierarchy.fields[level - 1][1, 1]
 
 
 @dataclass
 class MgTrace:
-    """Everything the fine-to-coarse sweep produced, per level."""
+    """Per level, what a fine-to-coarse sweep (`mg0`, `run_smoothing_sweep`) produced."""
 
-    f_levels: list = field(default_factory=list)      # f^l
+    f_levels: list = field(default_factory=list)      # f^l (None where a network forms none)
     u_iterates: list = field(default_factory=list)    # [u^{l,0}, ..., u^{l,nu_l}]
 
     @property

@@ -12,11 +12,11 @@ Conventions used throughout the package:
   ``q`` from the output position, input channel ``i``, output channel ``t``.
   All other modules reuse this orientation.
 * One shifted-slice window core (pad with zeros, one strided view per kernel
-  tap) serves the convolution, max pooling, their adjoints and the
-  multigrid stencils.  The conv forward and grad-input run it over blocks of
-  whole images whose per-tap working set stays near `_BLOCK_BYTES`, so each
-  tap's GEMM works in L2; the grad-weight reduces over every row and runs
-  once over the whole batch.
+  tap through the slices `_taps` caches) serves the convolution, max pooling,
+  their adjoints and the multigrid stencils.  The conv forward and grad-input
+  run it over blocks of whole images whose per-tap working set stays near
+  `_BLOCK_BYTES`, so each tap's GEMM works in L2; the grad-weight reduces
+  over every row and runs once over the whole batch.
 """
 
 from __future__ import annotations
@@ -109,12 +109,6 @@ def _taps(kk: int, stride: int, ho: int, wo: int) -> tuple:
                  for p in range(kk) for q in range(kk))
 
 
-def _windows(xp: np.ndarray, kk: int, stride: int, ho: int, wo: int):
-    """Yield (p, q, view) per tap: ``view[:, i, j]`` is ``xp[:, stride*i+p, stride*j+q]``."""
-    for p, q, rows, cols in _taps(kk, stride, ho, wo):
-        yield p, q, xp[:, rows, cols]
-
-
 def _images_per_block(image_bytes: int) -> int:
     """Whole images per block so that a block's working set stays near `_BLOCK_BYTES`."""
     return max(1, _BLOCK_BYTES // max(image_bytes, 1))
@@ -146,8 +140,9 @@ def _conv_grad_weights(x: np.ndarray, grad_out: np.ndarray, k: int,
     kk, cin = 2 * k + 1, x.shape[3]
     g2 = grad_out.reshape(-1, cout)
     gw = np.empty((kk, kk, cout, cin), dtype=np.result_type(x, grad_out))
-    for p, q, win in _windows(_pad(x, k), kk, stride, ho, wo):
-        gw[p, q] = g2.T @ win.reshape(-1, cin)
+    xp = _pad(x, k)
+    for p, q, rows, cols in _taps(kk, stride, ho, wo):
+        gw[p, q] = g2.T @ xp[:, rows, cols].reshape(-1, cin)
     return gw
 
 
@@ -179,7 +174,9 @@ def _max_forward(x: np.ndarray, k: int, stride: int):
     ho, wo = -(-m // stride), -(-n // stride)
     out = np.full((b, ho, wo, c), -np.inf, dtype=x.dtype)
     tap = np.zeros(out.shape, dtype=np.intp)
-    for t, (_, _, win) in enumerate(_windows(_pad(x, k), 2 * k + 1, stride, ho, wo)):
+    xp = _pad(x, k)
+    for t, (_, _, rows, cols) in enumerate(_taps(2 * k + 1, stride, ho, wo)):
+        win = xp[:, rows, cols]
         wins = (win > out) | np.isnan(win)
         np.copyto(out, win, where=wins)
         np.copyto(tap, t, where=wins)
@@ -192,8 +189,8 @@ def _max_grad_input(grad_out: np.ndarray, tap: np.ndarray, in_shape, k: int,
     b, m, n, c = in_shape
     _, ho, wo, _ = grad_out.shape
     gp = np.zeros((b, m + 2 * k, n + 2 * k, c), dtype=grad_out.dtype)
-    for t, (_, _, win) in enumerate(_windows(gp, 2 * k + 1, stride, ho, wo)):
-        win += np.where(tap == t, grad_out, 0.0)
+    for t, (_, _, rows, cols) in enumerate(_taps(2 * k + 1, stride, ho, wo)):
+        gp[:, rows, cols] += np.where(tap == t, grad_out, 0.0)
     return _unpad(gp, k)
 
 

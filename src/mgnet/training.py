@@ -28,6 +28,8 @@ class TrainConfig:
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ContractViolation(
                 f"learning rate must be positive and finite, got {self.learning_rate}")
+        if not (np.isfinite(self.lr_decay) and self.lr_decay > 0):
+            raise ContractViolation(f"lr_decay must be positive and finite, got {self.lr_decay}")
         if not 0.0 <= self.momentum < 1.0:
             raise ContractViolation("momentum must lie in [0, 1)")
         for name, minimum in (("batch_size", 1), ("epochs", 1), ("lr_decay_every", 1),

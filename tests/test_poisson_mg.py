@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from mgnet.grid_transfer import prolongate, prolongation_matrix, restrict_kr
-from mgnet.poisson_mg import (POISSON_STENCIL, PoissonHierarchy, backslash_mg, mg0,
-                              smooth, solve_poisson)
+from mgnet.poisson_mg import (POISSON_STENCIL, POISSON_TAPS, PoissonHierarchy, backslash_mg,
+                              mg0, smooth, solve_poisson)
 from mgnet.tensor_core import ContractViolation
 
 from conftest import from_matrix, reference_conv2d
@@ -32,12 +32,14 @@ def reference_poisson(m):
 
 
 def held_arrays(obj):
-    """Every numpy array reachable through lists, tuples and dataclass fields."""
+    """Every numpy array reachable through lists, tuples, dict values and dataclass fields."""
     if isinstance(obj, np.ndarray):
         yield obj
     elif isinstance(obj, (list, tuple)):
         for v in obj:
             yield from held_arrays(v)
+    elif isinstance(obj, dict):
+        yield from held_arrays(list(obj.values()))
     elif dataclasses.is_dataclass(obj):
         for f in dataclasses.fields(obj):
             yield from held_arrays(getattr(obj, f.name))
@@ -128,6 +130,15 @@ class TestGalerkinCoarsening:
         delta[4, 4] = 1.0
         np.testing.assert_array_equal(h.apply(delta, 1)[3:6, 3:6], POISSON_STENCIL)
 
+    def test_level1_taps_are_scalars_owned_per_hierarchy(self):
+        h, other = PoissonHierarchy(9, 9, 2), PoissonHierarchy(9, 9, 2)
+        live = {(p, q): POISSON_STENCIL[p, q] for p, q in zip(*np.nonzero(POISSON_STENCIL))}
+        assert h.fields[0] == live == POISSON_TAPS
+        assert list(h.fields[0]) == sorted(live)  # row-major order
+        assert not list(held_arrays(h.fields[0]))
+        h.fields[0][1, 1] = 5.0
+        assert other.fields[0][1, 1] == 4.0 and POISSON_TAPS[1, 1] == 4.0
+
     def test_coarse_operator_matches_conv_route(self):
         # column j of the dense product R A P, re-derived with the convolution
         # operators instead of assembled matrices
@@ -160,14 +171,16 @@ class TestGalerkinCoarsening:
             m, n = h.sizes[l - 1]
             p = prolongation_matrix(m, n)
             a = p.T @ a @ p
-            coef = h.fields[l - 1]
-            assert coef.shape == (m, n, 3, 3)
+            taps = h.fields[l - 1]
+            for plane in taps.values():
+                assert plane.shape == (m, n) and plane.any()
             field = np.zeros_like(a)
             for i in range(m):
                 for j in range(n):
                     for di in (-1, 0, 1):
                         for dj in (-1, 0, 1):
-                            c = coef[i, j, di + 1, dj + 1]
+                            plane = taps.get((di + 1, dj + 1))
+                            c = 0.0 if plane is None else plane[i, j]
                             if 0 <= i + di < m and 0 <= j + dj < n:
                                 field[i * n + j, (i + di) * n + j + dj] = c
                             else:

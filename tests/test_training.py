@@ -59,6 +59,12 @@ class TestSchedule:
         with pytest.raises(ContractViolation, match="epochs"):
             TrainConfig(epochs=0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_decay_factor_must_be_positive_and_finite(self, bad):
+        TrainConfig(lr_decay=0.5)
+        with pytest.raises(ContractViolation, match="lr_decay must be positive and finite"):
+            TrainConfig(lr_decay=bad)
+
     def test_decay_period_must_be_positive(self):
         TrainConfig(lr_decay_every=1)
         with pytest.raises(ContractViolation, match="lr_decay_every"):
