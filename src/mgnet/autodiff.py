@@ -238,15 +238,12 @@ def conv2d(x, kernel, stride: int = 1):
     return _emit((x, kernel.weights, kernel.bias), forward, op="conv2d")
 
 
-def max_pool(x, k: int = 1, stride: int = 2):
-    """Windowed max with zero padding; gradient flows to the winning sample."""
-    if stride < 1:
-        raise ContractViolation(f"stride must be >= 1, got {stride}")
-
+def max_pool(x):
+    """3x3 stride-2 windowed max with zero padding; gradient flows to the winning sample."""
     def forward(xd):
         xd = _batch(xd)
-        out, tap = _max_forward(xd, k, stride)
-        return out, lambda g: (_max_grad_input(g, tap, xd.shape, k, stride),)
+        out, tap = _max_forward(xd)
+        return out, lambda g: (_max_grad_input(g, tap, xd.shape),)
 
     return _emit((x,), forward, op="max_pool")
 

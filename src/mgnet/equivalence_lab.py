@@ -84,7 +84,7 @@ def verify_mgnet_mg0(size: int = 17, levels: int = 3, nu=(2, 2, 2), omega: float
     rng = np.random.default_rng(seed)
     hierarchy = PoissonHierarchy(size, size, levels)
     f = rng.standard_normal((size, size))
-    reference = mg0(f, levels, list(nu), omega, hierarchy)
+    reference = mg0(f, hierarchy, list(nu), omega)
 
     worst = 0.0
     instances = 0

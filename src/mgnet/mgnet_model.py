@@ -385,16 +385,25 @@ def f_in(f, variant: str, theta0: ConvKernel, bn):
     h = ad.conv2d(f, theta0, 1)
     h = ad.relu(bn(h))
     if variant == "conv_relu_maxpool":
-        h = ad.max_pool(h, 1, 2)
+        h = ad.max_pool(h)
     return h
 
 
+def check_weights(cfg: MgNetConfig, weights: MgNetWeights) -> None:
+    """`cfg` must be the config the weights were built for."""
+    if cfg != weights.cfg:
+        diff = [f"{k}={getattr(cfg, k, None)!r} (weights: {v!r})"
+                for k, v in vars(weights.cfg).items() if getattr(cfg, k, None) != v]
+        raise ContractViolation(f"config does not match the weights': {', '.join(diff)}")
+
+
 def mgnet_forward(f, cfg: MgNetConfig, weights: MgNetWeights, training: bool = False):
-    """Full forward sweep; returns (final features u^J, trace)."""
+    """Forward sweep of the model `weights.cfg` (`cfg` must equal it); returns (u^J, trace)."""
+    check_weights(cfg, weights)
     ops = KernelOperators(weights, training)
-    f1 = f_in(f, cfg.f_in_variant, weights.kernel("theta0"),
+    f1 = f_in(f, weights.cfg.f_in_variant, weights.kernel("theta0"),
               bn=lambda x: ops.apply_bn("theta0", x))
-    return run_smoothing_sweep(f1, cfg.nu, ops, cfg.smoothing_variant)
+    return run_smoothing_sweep(f1, weights.cfg.nu, ops, weights.cfg.smoothing_variant)
 
 
 def logits(u_final, weights: MgNetWeights):

@@ -185,17 +185,6 @@ def _as_grid(f) -> np.ndarray:
     return f
 
 
-def _checked_hierarchy(f, levels: int, hierarchy: PoissonHierarchy | None) -> PoissonHierarchy:
-    if hierarchy is None:
-        return PoissonHierarchy(f.shape[0], f.shape[1], levels)
-    # exact depth: the coarse inverse belongs to the hierarchy's own coarsest level
-    if hierarchy.sizes[0] != f.shape or hierarchy.levels != levels:
-        raise ContractViolation(
-            f"hierarchy of {hierarchy.levels} levels on {hierarchy.sizes[0]} does not fit "
-            f"{levels} levels on a {f.shape} right-hand side")
-    return hierarchy
-
-
 def _checked_nu(nu, levels: int, minimum: int) -> list:
     """One smoothing count of at least `minimum` per level."""
     nu = list(nu)
@@ -206,20 +195,17 @@ def _checked_nu(nu, levels: int, minimum: int) -> list:
     return nu
 
 
-def mg0(f, levels: int, nu, omega: float = 0.8,
-        hierarchy: PoissonHierarchy | None = None) -> MgTrace:
-    """Fine-to-coarse sweep: nu_l smoothings per level, then residual restriction.
+def mg0(f, hierarchy: PoissonHierarchy, nu, omega: float = 0.8) -> MgTrace:
+    """Fine-to-coarse sweep: nu_l smoothings per level of `hierarchy`, then residual restriction.
 
     Starts every level from a zero guess, whose residual is f_l itself, so the
     first smoothing applies no operator; returns the full iterate history.
     """
-    f = _as_grid(f)
-    _check_count("levels", levels, 1)
-    nu = _checked_nu(nu, levels, 0)
-    hierarchy = _checked_hierarchy(f, levels, hierarchy)
+    f = hierarchy._checked(_as_grid(f), 1)
+    nu = _checked_nu(nu, hierarchy.levels, 0)
     trace = MgTrace()
     f_l = f
-    for l in range(1, levels + 1):
+    for l in range(1, hierarchy.levels + 1):
         u = np.zeros_like(f_l)
         iterates = [u]
         r = f_l  # A 0 = +0.0, so this equals f_l - A u bitwise
@@ -230,21 +216,19 @@ def mg0(f, levels: int, nu, omega: float = 0.8,
             iterates.append(u)
         trace.f_levels.append(f_l)
         trace.u_iterates.append(iterates)
-        if l < levels:
+        if l < hierarchy.levels:
             f_l = restrict_kr(f_l - hierarchy.apply(u, l))
     return trace
 
 
-def backslash_mg(f, levels: int, nu, omega: float = 0.8,
-                 hierarchy: PoissonHierarchy | None = None) -> np.ndarray:
+def backslash_mg(f, hierarchy: PoissonHierarchy, nu, omega: float = 0.8) -> np.ndarray:
     """One backslash cycle: the mg0 sweep with the coarsest level solved exactly
     instead of smoothed, then coarse-to-fine corrections."""
-    f = _as_grid(f)
-    hierarchy = _checked_hierarchy(f, levels, hierarchy)
-    trace = mg0(f, levels, list(nu)[:-1] + [0], omega, hierarchy)
+    nu = _checked_nu(nu, hierarchy.levels, 0)
+    trace = mg0(f, hierarchy, nu[:-1] + [0], omega)
     u = trace.solutions
     u[-1] = hierarchy.coarse_solve(trace.f_levels[-1])
-    for l in range(levels - 1, 0, -1):
+    for l in range(hierarchy.levels - 1, 0, -1):
         u[l - 1] = u[l - 1] + prolongate(u[l])
     return u[0]
 
@@ -270,7 +254,13 @@ def solve_poisson(f, levels: int, nu=None, omega: float = 0.8, cycles: int = 50,
         raise ContractViolation(f"rtol must be finite and lie in [0, 1), got {rtol}")
     _check_omega(omega)  # a 1-level solve never smooths
     nu = _checked_nu([2] * levels if nu is None else nu, levels, 1)
-    hierarchy = _checked_hierarchy(f, levels, hierarchy)
+    if hierarchy is None:
+        hierarchy = PoissonHierarchy(f.shape[0], f.shape[1], levels)
+    elif hierarchy.sizes[0] != f.shape or hierarchy.levels != levels:
+        # exact depth: the coarse inverse belongs to the hierarchy's own coarsest level
+        raise ContractViolation(
+            f"hierarchy of {hierarchy.levels} levels on {hierarchy.sizes[0]} does not fit "
+            f"{levels} levels on a {f.shape} right-hand side")
     u = np.zeros_like(f)
     f_norm = float(np.linalg.norm(f))
     history = []
@@ -278,7 +268,7 @@ def solve_poisson(f, levels: int, nu=None, omega: float = 0.8, cycles: int = 50,
         return SolveResult(u, [0.0], 0, True)
     r = f
     for cycle in range(1, cycles + 1):
-        u = u + backslash_mg(r, levels, nu, omega, hierarchy)
+        u = u + backslash_mg(r, hierarchy, nu, omega)
         r = f - hierarchy.apply(u, 1)
         res = float(np.linalg.norm(r))
         history.append(res)

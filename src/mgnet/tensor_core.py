@@ -165,17 +165,17 @@ def _conv_grad_input(grad_out: np.ndarray, weights: np.ndarray, in_shape,
     return _unpad(gp, k)
 
 
-def _max_forward(x: np.ndarray, k: int, stride: int):
-    """Zero-padded windowed max of (b, h, w, c) and the index of the winning tap.
+def _max_forward(x: np.ndarray):
+    """Zero-padded 3x3 stride-2 max of (b, h, w, c) and the index of the winning tap.
 
     The first maximal tap in row-major (p, q) order wins; a NaN always wins.
     """
     b, m, n, c = x.shape
-    ho, wo = -(-m // stride), -(-n // stride)
+    ho, wo = -(-m // 2), -(-n // 2)
     out = np.full((b, ho, wo, c), -np.inf, dtype=x.dtype)
     tap = np.zeros(out.shape, dtype=np.intp)
-    xp = _pad(x, k)
-    for t, (_, _, rows, cols) in enumerate(_taps(2 * k + 1, stride, ho, wo)):
+    xp = _pad(x, 1)
+    for t, (_, _, rows, cols) in enumerate(_taps(3, 2, ho, wo)):
         win = xp[:, rows, cols]
         wins = (win > out) | np.isnan(win)
         np.copyto(out, win, where=wins)
@@ -183,15 +183,14 @@ def _max_forward(x: np.ndarray, k: int, stride: int):
     return out, tap
 
 
-def _max_grad_input(grad_out: np.ndarray, tap: np.ndarray, in_shape, k: int,
-                    stride: int) -> np.ndarray:
+def _max_grad_input(grad_out: np.ndarray, tap: np.ndarray, in_shape) -> np.ndarray:
     """Route each output gradient to its winning tap; padding winners drop out."""
     b, m, n, c = in_shape
     _, ho, wo, _ = grad_out.shape
-    gp = np.zeros((b, m + 2 * k, n + 2 * k, c), dtype=grad_out.dtype)
-    for t, (_, _, rows, cols) in enumerate(_taps(2 * k + 1, stride, ho, wo)):
+    gp = np.zeros((b, m + 2, n + 2, c), dtype=grad_out.dtype)
+    for t, (_, _, rows, cols) in enumerate(_taps(3, 2, ho, wo)):
         gp[:, rows, cols] += np.where(tap == t, grad_out, 0.0)
-    return _unpad(gp, k)
+    return _unpad(gp, 1)
 
 
 def _batch(x) -> np.ndarray:

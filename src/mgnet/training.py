@@ -8,7 +8,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, backward, value
-from .mgnet_model import MgNetConfig, MgNetWeights, init_weights, logits, mgnet_forward
+from .mgnet_model import (MgNetConfig, MgNetWeights, check_weights, init_weights, logits,
+                          mgnet_forward)
 from .tensor_core import ContractViolation, _check_count
 
 
@@ -88,8 +89,8 @@ def _one_hot(labels, classes: int) -> np.ndarray:
     return out
 
 
-def _forward_logits(images, cfg, weights, training):
-    u, _ = mgnet_forward(images, cfg, weights, training=training)
+def _forward_logits(images, weights, training):
+    u, _ = mgnet_forward(images, weights.cfg, weights, training=training)
     return logits(u, weights)
 
 
@@ -100,12 +101,13 @@ EVAL_BATCH = 64
 def evaluate(cfg: MgNetConfig, weights: MgNetWeights, dataset):
     """(mean cross-entropy, accuracy) over a dataset in evaluation mode."""
     check_dataset(cfg, dataset)
+    check_weights(cfg, weights)
     total_loss = 0.0
     correct = 0
     for start in range(0, len(dataset), EVAL_BATCH):
         chunk = dataset[start:start + EVAL_BATCH]
         images, labels = _stack_batch(chunk)
-        z = value(_forward_logits(images, cfg, weights, training=False))
+        z = value(_forward_logits(images, weights, training=False))
         loss = ad.softmax_cross_entropy(z, _one_hot(labels, cfg.classes))
         total_loss += len(chunk) * float(loss)
         correct += int((z.argmax(axis=1) == labels).sum())
@@ -129,6 +131,7 @@ def train(cfg: MgNetConfig, tcfg: TrainConfig, dataset,
     check_dataset(cfg, dataset)
     if weights is None:
         weights = init_weights(cfg, seed=tcfg.seed)
+    check_weights(cfg, weights)
     rng = np.random.default_rng(tcfg.seed)
     velocity: dict[str, np.ndarray] = {}
     result = TrainResult(weights=weights)
@@ -142,7 +145,7 @@ def train(cfg: MgNetConfig, tcfg: TrainConfig, dataset,
             images, labels = _stack_batch(batch)
             targets = _one_hot(labels, cfg.classes)
             with Tape() as tape:
-                z = _forward_logits(images, cfg, weights, training=True)
+                z = _forward_logits(images, weights, training=True)
                 loss = ad.softmax_cross_entropy(z, targets)
             batch_loss = float(value(loss))
             if not np.isfinite(batch_loss):
@@ -200,12 +203,13 @@ def finite_diff_check(cfg: MgNetConfig, weights: MgNetWeights, images, labels,
     audit and restored after, as are the batchnorm running buffers that the
     training-mode forwards update.
     """
+    check_weights(cfg, weights)
     rng = np.random.default_rng(seed)
     images = np.asarray(images, dtype=float)
     targets = _one_hot(np.asarray(labels, dtype=int), cfg.classes)
 
     def loss_value():
-        z = value(_forward_logits(images, cfg, weights, training=True))
+        z = value(_forward_logits(images, weights, training=True))
         return float(ad.softmax_cross_entropy(z, targets))
 
     saved_biases = {name: p.data.copy() for name, p in weights.params.items()
@@ -220,7 +224,7 @@ def finite_diff_check(cfg: MgNetConfig, weights: MgNetWeights, images, labels,
                     p = weights.params[name]
                     p.data = p.data + 1e-3 * rng.standard_normal(p.data.shape)
             with Tape() as tape:
-                z = _forward_logits(images, cfg, weights, training=True)
+                z = _forward_logits(images, weights, training=True)
                 loss = ad.softmax_cross_entropy(z, targets)
             if _min_preactivation(tape) > FD_KINK_GAP:
                 break

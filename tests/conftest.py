@@ -10,6 +10,7 @@ import pytest
 
 from mgnet import autodiff as ad
 from mgnet.grid_transfer import RESTRICT_LINEAR, restrict_kr
+from mgnet.mgnet_model import MgNetConfig, init_weights
 from mgnet.tensor_core import ConvKernel, conv2d
 from mgnet.training import _forward_logits, _one_hot
 
@@ -58,9 +59,21 @@ def reference_backward(tape, loss) -> dict:
 def traced_loss(cfg, weights, images, labels):
     """(tape, loss) of one training-mode forward: the cross-entropy of the logits."""
     with ad.Tape() as tape:
-        z = _forward_logits(images, cfg, weights, training=True)
+        z = _forward_logits(images, weights, training=True)
         loss = ad.softmax_cross_entropy(z, _one_hot(np.asarray(labels), cfg.classes))
     return tape, loss
+
+
+# a toy model, and changes to its config that each name another model on its
+# weights: one with other parameter values, one with parameters they lack
+TOY_MODEL = dict(J=3, nu=(2, 2, 2), c_u=4, c_f=4, pi_variant="pi1", in_channels=1, classes=2)
+CONFIG_CHANGES = {"nu": dict(nu=(1, 1, 1)),
+                  "pi2-multi": dict(pi_variant="pi2", smoothing_variant="multi")}
+
+
+def mismatched_model(change: dict):
+    """(cfg, weights): the toy model's initial weights and its config altered by `change`."""
+    return MgNetConfig(**{**TOY_MODEL, **change}), init_weights(MgNetConfig(**TOY_MODEL))
 
 
 def cifar_file(path, labels, label_bytes=1):

@@ -131,7 +131,7 @@ class TestGradientsAgainstFiniteDifferences:
         x = Parameter("x", rng.standard_normal((1, 7, 7, 2)))
 
         def build():
-            return ad.softmax_cross_entropy(ad.spatial_mean(ad.max_pool(x, 1, 2)),
+            return ad.softmax_cross_entropy(ad.spatial_mean(ad.max_pool(x)),
                                             np.array([[1.0, 0.0]]))
 
         check_param(build, x)
@@ -142,7 +142,7 @@ class TestGradientsAgainstFiniteDifferences:
         # tap in row-major order
         x = Parameter("x", np.full((1, 7, 6, 2), 1.5))
         probe = rng.standard_normal((1, 4, 3, 2))
-        grad = analytic_grads(lambda: mean_all(ad.mul(ad.max_pool(x, 1, 2), probe)))["x"]
+        grad = analytic_grads(lambda: mean_all(ad.mul(ad.max_pool(x), probe)))["x"]
         want = np.zeros_like(x.data)
         for i in range(4):
             for j in range(3):
@@ -155,8 +155,6 @@ class TestGradientsAgainstFiniteDifferences:
         x = rng.standard_normal((1, 5, 5, 1))
         with pytest.raises(ContractViolation):
             ad.conv2d(x, identity_kernel(1), stride)
-        with pytest.raises(ContractViolation):
-            ad.max_pool(x, 1, stride)
 
     def test_channel_mismatch_raises(self, rng):
         x = Parameter("x", rng.standard_normal((1, 5, 5, 2)))
@@ -171,7 +169,7 @@ class TestGradientsAgainstFiniteDifferences:
         cfg = MgNetConfig(J=2, nu=(1, 1), c_u=2, c_f=2, in_channels=1, classes=2)
         ops = [lambda x: conv2d(x, identity_kernel(1), 1),
                lambda x: ad.conv2d(x, identity_kernel(1), 1),
-               lambda x: ad.max_pool(x, 1, 2),
+               ad.max_pool,
                ad.spatial_mean,
                lambda x: mgnet_forward(x, cfg, init_weights(cfg))]
         x = rng.standard_normal(shape)
@@ -340,17 +338,17 @@ class TestMaxPoolValues:
     # plain arrays: no tape records, the op returns the array
     def test_max_constant_nonnegative(self):
         x = np.full((1, 6, 6, 2), 3.0)
-        np.testing.assert_array_equal(ad.max_pool(x, 1, 2), np.full((1, 3, 3, 2), 3.0))
+        np.testing.assert_array_equal(ad.max_pool(x), np.full((1, 3, 3, 2), 3.0))
 
     def test_max_window_example(self):
         x = np.arange(1.0, 17.0).reshape(4, 4)[None, :, :, None]
-        np.testing.assert_array_equal(ad.max_pool(x, 1, 2)[0, :, :, 0],
+        np.testing.assert_array_equal(ad.max_pool(x)[0, :, :, 0],
                                       [[6.0, 8.0], [14.0, 16.0]])
 
     def test_max_zero_padding_caps_negative_borders(self):
         x = np.full((1, 4, 4, 1), -5.0)
         # border windows include padded zeros; the interior window does not
-        np.testing.assert_array_equal(ad.max_pool(x, 1, 2)[0, :, :, 0],
+        np.testing.assert_array_equal(ad.max_pool(x)[0, :, :, 0],
                                       [[0.0, 0.0], [0.0, -5.0]])
 
 

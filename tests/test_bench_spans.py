@@ -1,9 +1,11 @@
 """The benchmark reaches mgnet by name: the entry points its tracer wraps and
-the attributes its session reads must all resolve."""
+the attributes its session reads must all resolve, and the session's calls
+must run with their arguments."""
 
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,14 +14,15 @@ SPANS_PATH = Path(__file__).resolve().parent.parent / "mgbench" / "spans.py"
 SESSION_PATH = SPANS_PATH.with_name("session.py")
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("mgbench_spans", SPANS_PATH)
+def load(path: Path):
+    spec = importlib.util.spec_from_file_location(f"mgbench_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
 
-spans = load_spans()
+spans = load(SPANS_PATH)
 
 
 def session_attributes() -> list:
@@ -93,3 +96,20 @@ def test_traced_training_step_and_eval():
     metrics = spans.per_layer(tracer, 1, {})
     assert metrics["autodiff.conv2d.computed_gflops"] > 0
     assert metrics["autodiff.tape.records_per_step"] > 0
+
+
+@pytest.mark.parametrize("workload", ["toy/tiny", "paper/tiny"])
+def test_session_rounds_run_clean(workload, tmp_path, monkeypatch):
+    # one round of every phase of `session.run` at the harness self-test's
+    # size, without the fresh set-up processes
+    monkeypatch.syspath_prepend(str(SESSION_PATH.parent))  # session imports oracles
+    session = load(SESSION_PATH)
+    s = session.Session(session.scale_named(workload), seed=1, workdir=str(tmp_path))
+    cfg, train_items, eval_items, weights = session.setup(s)
+    session.check_setup(s, cfg, train_items, eval_items)
+    session.train_eval_round(s, cfg, train_items, eval_items, first=True)
+    session.ladder_round(s, session.manufactured_solutions(s))
+    session.verify_round(s)
+    session.first_batch_oracles(s, cfg, weights, train_items)
+    assert s.errors == []
+    assert s.failed == 0 and s.attempted > 0

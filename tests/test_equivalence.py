@@ -31,7 +31,7 @@ class TestMg0Equivalence:
         from mgnet.poisson_mg import PoissonHierarchy, mg0
         h = PoissonHierarchy(17, 17, 3)
         f = rng.standard_normal((17, 17))
-        reference = mg0(f, 3, [2, 2, 2], 0.8, h)
+        reference = mg0(f, h, [2, 2, 2], 0.8)
         _, net = run_smoothing_sweep(f, [2, 2, 2],
                                      _LinearMgOperators(h, 0.8, None), "single")
         for l in range(3):

@@ -12,7 +12,7 @@ from mgnet.mgnet_model import (KernelOperators, MgNetConfig, classify, count_par
 from mgnet.tensor_core import ContractViolation, ConvKernel, conv2d, relu, softmax
 from mgnet.training import TrainConfig, train
 
-from conftest import from_matrix, identity_kernel
+from conftest import CONFIG_CHANGES, from_matrix, identity_kernel, mismatched_model
 
 
 def no_bn(h):
@@ -139,6 +139,15 @@ class TestForward:
 
         with pytest.raises(ContractViolation, match="level 1"):
             run_smoothing_sweep(rng.random((1, 8, 8, cfg.c_f)), cfg.nu, BadOps())
+
+    @pytest.mark.parametrize("change", CONFIG_CHANGES.values(), ids=CONFIG_CHANGES)
+    @pytest.mark.parametrize("training", [False, True])
+    def test_config_other_than_the_weights_rejected(self, rng, change, training):
+        cfg, w = mismatched_model(change)
+        with pytest.raises(ContractViolation, match="does not match the weights'") as err:
+            mgnet_forward(rng.random((2, 8, 8, 1)), cfg, w, training=training)
+        for k, v in change.items():
+            assert f"{k}={v!r} (weights: {getattr(w.cfg, k)!r})" in str(err.value)
 
 
 class TestVariants:

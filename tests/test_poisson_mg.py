@@ -120,7 +120,7 @@ class TestJacobiSmoother:
         with pytest.raises(ContractViolation):
             solve_poisson(f, 1, omega=omega)
         with pytest.raises(ContractViolation):
-            mg0(f, 2, [1, 1], omega)
+            mg0(f, PoissonHierarchy(9, 9, 2), [1, 1], omega)
 
 
 class TestGalerkinCoarsening:
@@ -193,7 +193,8 @@ class TestCounts:
         (lambda f: PoissonHierarchy(17, 17, 2.5), "levels must be an integer >= 1, got 2.5"),
         (lambda f: solve_poisson(f, 3, [1.5, 2, 2]), "every nu entry must be an integer >= 1"),
         (lambda f: solve_poisson(f, 3, cycles=2.5), "cycles must be an integer >= 1, got 2.5"),
-        (lambda f: mg0(f, 3, [-1, 2, 2]), "every nu entry must be an integer >= 0, got -1"),
+        (lambda f: mg0(f, PoissonHierarchy(17, 17, 3), [-1, 2, 2]),
+         "every nu entry must be an integer >= 0, got -1"),
         (lambda f: solve_poisson(f, True, [2]), "levels must be an integer >= 1, got True"),
     ], ids=["hierarchy-levels-float", "solve-nu-float", "solve-cycles-float",
             "mg0-nu-negative", "solve-levels-bool"])
@@ -225,8 +226,8 @@ class TestCounts:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("run", [
         lambda f: solve_poisson(f, 2),
-        lambda f: mg0(f, 2, [2, 2]),
-        lambda f: backslash_mg(f, 2, [2, 2]),
+        lambda f: mg0(f, PoissonHierarchy(9, 9, 2), [2, 2]),
+        lambda f: backslash_mg(f, PoissonHierarchy(9, 9, 2), [2, 2]),
     ], ids=["solve_poisson", "mg0", "backslash_mg"])
     def test_non_finite_rhs_rejected(self, run, bad):
         f = np.ones((9, 9))
@@ -271,7 +272,7 @@ class TestMatrixFree:
 
 class TestMg0:
     def test_zero_rhs_stays_zero(self):
-        trace = mg0(np.zeros((9, 9)), 2, [2, 2])
+        trace = mg0(np.zeros((9, 9)), PoissonHierarchy(9, 9, 2), [2, 2])
         for level in trace.u_iterates:
             for u in level:
                 assert (u == 0).all()
@@ -279,7 +280,7 @@ class TestMg0:
     def test_first_iterate_is_scaled_rhs(self, rng):
         f = rng.standard_normal((9, 9))
         omega = 0.8
-        trace = mg0(f, 2, [2, 2], omega)
+        trace = mg0(f, PoissonHierarchy(9, 9, 2), [2, 2], omega)
         np.testing.assert_allclose(trace.u_iterates[0][1], omega / 4.0 * f, atol=1e-15)
 
     @pytest.mark.parametrize("size,nu", [(9, [2, 1]), (17, [2, 1, 2])], ids=["9-L2", "17-L3"])
@@ -290,7 +291,7 @@ class TestMg0:
         f = rng.standard_normal((size, size))
         levels, omega = len(nu), 0.8
         h = PoissonHierarchy(size, size, levels)
-        trace = mg0(f, levels, nu, omega, h)
+        trace = mg0(f, h, nu, omega)
 
         f_vec = f.ravel()
         a = reference_poisson(size)
@@ -311,50 +312,57 @@ class TestMg0:
     def test_restricted_residual_identity(self, rng):
         f = rng.standard_normal((17, 17))
         h = PoissonHierarchy(17, 17, 3)
-        trace = mg0(f, 3, [2, 2, 2], 0.8, h)
+        trace = mg0(f, h, [2, 2, 2], 0.8)
         for l in (1, 2):
             recomputed = restrict_kr(trace.f_levels[l - 1]
                                      - h.apply(trace.u_iterates[l - 1][-1], l))
             np.testing.assert_array_equal(trace.f_levels[l], recomputed)
 
     def test_wrong_nu_length_raises(self):
-        with pytest.raises(ContractViolation):
-            mg0(np.zeros((9, 9)), 2, [2])
+        with pytest.raises(ContractViolation, match="nu must have 2 entries, got 1"):
+            mg0(np.zeros((9, 9)), PoissonHierarchy(9, 9, 2), [2])
 
     def test_non_odd_chain_raises(self):
         with pytest.raises(ContractViolation):
-            mg0(np.zeros((8, 8)), 2, [2, 2])
+            mg0(np.zeros((8, 8)), PoissonHierarchy(8, 8, 2), [2, 2])
 
 
 class TestBackslashCycle:
     def test_zero_rhs(self):
-        out = backslash_mg(np.zeros((9, 9)), 2, [2, 2])
+        out = backslash_mg(np.zeros((9, 9)), PoissonHierarchy(9, 9, 2), [2, 2])
         assert (out == 0).all()
 
     def test_one_level_is_the_direct_solve(self, rng):
         h = PoissonHierarchy(17, 17, 1)
         f = rng.standard_normal((17, 17))
-        np.testing.assert_allclose(backslash_mg(f, 1, [2], 0.8, h), h.direct_solve(f),
+        np.testing.assert_allclose(backslash_mg(f, h, [2], 0.8), h.direct_solve(f),
                                    rtol=0.0, atol=1e-12)
 
     def test_deeper_hierarchy_rejected(self):
-        # its coarse inverse belongs to level 3, not to the cycle's level 2
+        # its coarse inverse belongs to level 3, not to the solve's level 2
         h = PoissonHierarchy(17, 17, 3)
-        f = np.ones((17, 17))
         with pytest.raises(ContractViolation, match="3 levels"):
-            mg0(f, 2, [2, 2], 0.8, h)
-        with pytest.raises(ContractViolation, match="3 levels"):
-            backslash_mg(f, 2, [2, 2], 0.8, h)
-        with pytest.raises(ContractViolation, match="3 levels"):
-            solve_poisson(f, 2, hierarchy=h)
+            solve_poisson(np.ones((17, 17)), 2, hierarchy=h)
 
     def test_other_fine_grid_rejected(self):
         h = PoissonHierarchy(17, 17, 2)
-        for run in (lambda f: mg0(f, 2, [2, 2], 0.8, h),
-                    lambda f: backslash_mg(f, 2, [2, 2], 0.8, h),
-                    lambda f: solve_poisson(f, 2, hierarchy=h)):
-            with pytest.raises(ContractViolation, match="does not fit"):
+        for run, message in (
+                (lambda f: mg0(f, h, [2, 2], 0.8), "level 1 operator expects shape"),
+                (lambda f: backslash_mg(f, h, [2, 2], 0.8), "level 1 operator expects shape"),
+                (lambda f: solve_poisson(f, 2, hierarchy=h), "does not fit")):
+            with pytest.raises(ContractViolation, match=message):
                 run(np.ones((9, 9)))
+
+    @pytest.mark.parametrize("levels,nu,message", [
+        (1, [], "nu must have 1 entries, got 0"),
+        (2, [2, -1], "every nu entry must be an integer >= 0, got -1"),
+        (2, [2, "x"], "every nu entry must be an integer >= 0, got 'x'"),
+    ], ids=["empty", "negative-coarsest", "non-integer-coarsest"])
+    def test_whole_nu_checked_before_the_coarsest_is_dropped(self, levels, nu, message):
+        # the cycle never smooths its coarsest level, but its count must still be valid
+        h = PoissonHierarchy(9, 9, levels)
+        with pytest.raises(ContractViolation, match=message):
+            backslash_mg(np.ones((9, 9)), h, nu, 0.8)
 
     def test_only_two_dimensional_grids(self):
         with pytest.raises(ContractViolation, match="grid"):
@@ -364,9 +372,9 @@ class TestBackslashCycle:
         # mg0 alone, as in the mg0 certificate, never pays for the inverse
         h = PoissonHierarchy(17, 17, 3)
         f = rng.standard_normal((17, 17))
-        mg0(f, 3, [2, 2, 2], 0.8, h)
+        mg0(f, h, [2, 2, 2], 0.8)
         assert "_coarse_inverse" not in vars(h)
-        backslash_mg(f, 3, [2, 2, 2], 0.8, h)
+        backslash_mg(f, h, [2, 2, 2], 0.8)
         assert vars(h)["_coarse_inverse"].shape == (25, 25)
 
     def test_last_residual_is_the_final_iterate_residual(self, rng):
@@ -379,7 +387,7 @@ class TestBackslashCycle:
         size = 17
         h = PoissonHierarchy(size, size, 3)
         f = rng.standard_normal((size, size))
-        u = backslash_mg(f, 3, [2, 2, 2], 0.8, h)
+        u = backslash_mg(f, h, [2, 2, 2], 0.8)
         assert np.linalg.norm(f - h.apply(u, 1)) < np.linalg.norm(f)
 
     @pytest.mark.parametrize("size,levels", [(17, 3), (33, 4)])

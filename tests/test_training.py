@@ -11,7 +11,7 @@ from mgnet.tensor_core import ContractViolation
 from mgnet.training import (TrainConfig, evaluate, finite_diff_check,
                             sgd_momentum_step, train)
 
-from conftest import mean_all, reference_backward, traced_loss
+from conftest import CONFIG_CHANGES, mean_all, mismatched_model, reference_backward, traced_loss
 
 
 class TestSgdMomentum:
@@ -106,6 +106,20 @@ class TestTrainLoop:
             evaluate(cfg, init_weights(cfg), data)
         with pytest.raises(ContractViolation, match=r"label 2 is outside \[0, 2\)"):
             train(cfg, TrainConfig(epochs=1), data)
+
+    @pytest.mark.parametrize("change", CONFIG_CHANGES.values(), ids=CONFIG_CHANGES)
+    def test_config_other_than_the_weights_rejected(self, change):
+        cfg, weights = mismatched_model(change)
+        data = gen_synthetic(2, 4, size=8, seed=0)
+        before = weights.state_dict()
+        with pytest.raises(ContractViolation, match="does not match the weights'"):
+            evaluate(cfg, weights, data)
+        with pytest.raises(ContractViolation, match="does not match the weights'"):
+            train(cfg, TrainConfig(epochs=1, batch_size=4), data, weights=weights)
+        with pytest.raises(ContractViolation, match="does not match the weights'"):
+            finite_diff_check(cfg, weights, np.stack([it.image for it in data[:2]]), [0, 1])
+        after = weights.state_dict()
+        assert all(np.array_equal(before[k], after[k]) for k in before)
 
     def test_initial_loss_near_log_classes(self):
         cfg = toy_config(classes=10)
