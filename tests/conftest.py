@@ -5,6 +5,8 @@ window sum with explicit zero-padding boundary handling, kept loop-based on
 purpose so it stays independent of the vectorized implementation it checks.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,17 @@ def conv_restrict(fine):
     with `RESTRICT_LINEAR` and a zero bias, all 9 taps."""
     kern = ConvKernel(RESTRICT_LINEAR[:, :, None, None], np.zeros(1))
     return conv2d(np.asarray(fine, dtype=float)[None, :, :, None], kern, stride=2)[0, :, :, 0]
+
+
+@functools.lru_cache(maxsize=None)
+def reference_poisson(m: int, n: int) -> np.ndarray:
+    """Dense (mn, mn) 5-point Dirichlet Laplacian on row-major (m, n) grids, the
+    Kronecker sum kron(I_m, T_n) + kron(T_m, I_n) with T = tridiag(-1, 2, -1); read-only."""
+    def tridiag(k):
+        return 2.0 * np.eye(k) - np.eye(k, k=1) - np.eye(k, k=-1)
+    a = np.kron(np.eye(m), tridiag(n)) + np.kron(tridiag(m), np.eye(n))
+    a.flags.writeable = False
+    return a
 
 
 def reference_conv2d(x, kernel: ConvKernel, stride: int):

@@ -63,15 +63,28 @@ class TestSolvePoissonCommand:
         assert json.loads(out.read_text())["converged"] is False
         assert "did not converge after 1 cycles" in capsys.readouterr().err
 
-    def test_above_65_skips_direct_comparison(self, tmp_path, capsys):
-        # with the exact coarse solve this converges in under 30 cycles
+    def test_above_65_reports_direct_comparison(self, tmp_path, capsys):
+        # with the exact coarse solve this converges in under 30 cycles, and the
+        # sine-transform reference has no size cap
         out = tmp_path / "results.json"
         assert run_cli(["solve-poisson", "--size", "129", "--levels", "5",
                         "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["converged"] is True
-        assert payload["relative_error_vs_direct"] is None
-        assert "direct-solve comparison skipped" in capsys.readouterr().out
+        assert payload["relative_error_vs_direct"] < 1e-8
+        assert "relative error vs direct solve" in capsys.readouterr().out
+
+    def test_output_same_at_one_and_two_blas_threads(self, tmp_path):
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}.json"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads, PYTHONPATH=str(Path(mgnet.__file__).parents[1]))
+            subprocess.run([sys.executable, "-m", "mgnet.cli", "solve-poisson", "--size", "33",
+                            "--levels", "4", "--out", str(out)],
+                           env=env, capture_output=True, check=True)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_records_convergence_factor(self, tmp_path, capsys):
         out = tmp_path / "results.json"

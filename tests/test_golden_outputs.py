@@ -5,8 +5,10 @@ unchanged.  The SHA-256 digests below were recorded before such a change
 and are compared after it.  Floating-point results depend on numpy's
 kernels, so the test runs only on the numpy version the digests were
 recorded with.  Each command runs in its own process with BLAS pinned to
-one thread: the dense direct solve behind `solve-poisson`'s
-``relative_error_vs_direct`` rounds differently at two threads.
+one thread: at 129x129 the BLAS dot inside `np.linalg.norm` rounds
+`solve-poisson`'s ``residual_history`` differently at two threads, and the
+dense inverse of a 17x17 coarsest grid (65x65 at 3 levels) rounds the
+whole solve differently.
 """
 
 import hashlib
@@ -34,20 +36,25 @@ RUNS = {
     "solve-33-L4": ["solve-poisson", "--size", "33", "--levels", "4"],
     "solve-65-L5": ["solve-poisson", "--size", "65", "--levels", "5"],
     "solve-65-L6": ["solve-poisson", "--size", "65", "--levels", "6"],
+    "solve-129-L5": ["solve-poisson", "--size", "129", "--levels", "5"],
 }
 
 DIGESTS = {
     "solve-33-L4": {
         "out.json":
-            "1419655407fca38c555627f62e4e7c1c9d2d962416c34fc93cad74da88da5e87",
+            "339f374aa7e6fbdfc669970845c5e61fb636715ce1d003ba409ebc727eeb5158",
     },
     "solve-65-L5": {
         "out.json":
-            "ae5211ffd381e9803df6bd7e021128448186221f1dfcdfe299c97ff5719753df",
+            "07294ebb0d10f6b8176060063e481156b0bcab94201fa2983feda488cc3a9ce5",
     },
     "solve-65-L6": {
         "out.json":
-            "029430178fd60751f7d0ccd3db550245278b07b77f6ee312ae6e3245962d8c52",
+            "b607bf6c39ff8d4d3f87c80a3f4de0db74acf762348d74e8a8500ba03bd7f233",
+    },
+    "solve-129-L5": {
+        "out.json":
+            "46c71c4ea70b23652d7d211b79a222a810ebe33f47cbab14dea4f6e9d8aeefc7",
     },
     "train": {
         "config.json":

@@ -1,15 +1,19 @@
 import dataclasses
-import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mgnet
 from mgnet.grid_transfer import prolongate, prolongation_matrix, restrict_kr
 from mgnet.poisson_mg import (POISSON_STENCIL, POISSON_TAPS, PoissonHierarchy, backslash_mg,
                               mg0, smooth, solve_poisson)
 from mgnet.tensor_core import ContractViolation
 
-from conftest import from_matrix, reference_conv2d
+from conftest import from_matrix, reference_conv2d, reference_poisson
 
 
 def dense_of(apply, m, n):
@@ -20,15 +24,6 @@ def dense_of(apply, m, n):
         e.flat[j] = 1.0
         cols.append(np.asarray(apply(e)).ravel())
     return np.stack(cols, axis=1)
-
-
-@functools.lru_cache(maxsize=None)
-def reference_poisson(m):
-    """Fine operator from the loop-based reference convolution; read-only."""
-    kern = from_matrix(POISSON_STENCIL)
-    a = dense_of(lambda e: reference_conv2d(e[:, :, None], kern, 1), m, m)
-    a.flags.writeable = False
-    return a
 
 
 def held_arrays(obj):
@@ -89,6 +84,12 @@ class TestStencilOperator:
         h = PoissonHierarchy(9, 9, 2)
         with pytest.raises(ContractViolation):
             h.apply(np.zeros((5, 5)), 1)
+
+    @pytest.mark.parametrize("m,n", [(9, 9), (5, 9)])
+    def test_kronecker_oracle_is_the_reference_conv(self, m, n):
+        kern = from_matrix(POISSON_STENCIL)
+        via_conv = dense_of(lambda e: reference_conv2d(e[:, :, None], kern, 1), m, n)
+        np.testing.assert_array_equal(reference_poisson(m, n), via_conv)
 
     @pytest.mark.parametrize("level", [1, 2])
     def test_spd_as_dense_matrix(self, rng, level):
@@ -163,10 +164,10 @@ class TestGalerkinCoarsening:
 
     @pytest.mark.parametrize("size,levels", [(17, 3), (33, 4)])
     def test_field_matches_dense_galerkin_product(self, size, levels):
-        # P^T A P with A from reference-convolution columns and P from
+        # P^T A P with A the Kronecker-sum Laplacian and P from
         # prolongation_matrix, against the field read back as a dense matrix
         h = PoissonHierarchy(size, size, levels)
-        a = reference_poisson(size)
+        a = reference_poisson(size, size)
         for l in range(2, levels + 1):
             m, n = h.sizes[l - 1]
             p = prolongation_matrix(m, n)
@@ -294,7 +295,7 @@ class TestMg0:
         trace = mg0(f, h, nu, omega)
 
         f_vec = f.ravel()
-        a = reference_poisson(size)
+        a = reference_poisson(size, size)
         for l in range(1, levels + 1):
             m, n = h.sizes[l - 1]
             u_vec = np.zeros(m * n)
@@ -325,6 +326,36 @@ class TestMg0:
     def test_non_odd_chain_raises(self):
         with pytest.raises(ContractViolation):
             mg0(np.zeros((8, 8)), PoissonHierarchy(8, 8, 2), [2, 2])
+
+
+class TestDirectSolve:
+    @pytest.mark.parametrize("m,n,levels", [(17, 17, 3), (33, 33, 4), (17, 33, 2)])
+    def test_matches_kronecker_oracle(self, rng, m, n, levels):
+        f = rng.standard_normal((m, n))
+        expected = np.linalg.solve(reference_poisson(m, n), f.ravel()).reshape(m, n)
+        np.testing.assert_allclose(PoissonHierarchy(m, n, levels).direct_solve(f), expected,
+                                   rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("size,levels", [(129, 3), (513, 5)])
+    def test_residual_at_large_grids(self, rng, size, levels):
+        h = PoissonHierarchy(size, size, levels)
+        f = rng.standard_normal((size, size))
+        residual = f - h.apply(h.direct_solve(f), 1)
+        assert np.linalg.norm(residual) / np.linalg.norm(f) < 1e-13
+
+    def test_same_bytes_at_one_and_two_blas_threads(self):
+        # the sine transform calls no BLAS routine, so its rounding is fixed
+        code = ("import hashlib, numpy as np; from mgnet.poisson_mg import PoissonHierarchy; "
+                "f = np.random.default_rng(0).standard_normal((129, 129)); "
+                "print(hashlib.sha256(PoissonHierarchy(129, 129, 3).direct_solve(f)).hexdigest())")
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads, PYTHONPATH=str(Path(mgnet.__file__).parents[1]))
+            done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, check=True)
+            digests.add(done.stdout)
+        assert len(digests) == 1
 
 
 class TestBackslashCycle:
