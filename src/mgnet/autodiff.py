@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .tensor_core import (ContractViolation, _batch, _conv_forward, _conv_grad_input,
-                          _conv_grad_weights, _max_forward, _max_grad_input, _shifted_exp, softmax)
+                          _conv_grad_weights, _conv_input, _max_forward, _max_grad_input,
+                          _shifted_exp, softmax)
 
 _TAPE_STACK: list = []
 
@@ -205,24 +206,19 @@ def relu(x):
 
 
 def conv2d(x, kernel, stride: int = 1):
-    """Differentiable counterpart of tensor_core.conv2d on (batch, h, w, c).
+    """Differentiable counterpart of tensor_core.conv2d, under its input contract.
 
     An input that is not a traced node (the images) gets no gradient.  If it
     is also one zero broadcast to every position (all strides 0), it is not
     convolved: the output is the bias, added in `_conv_forward`'s order so the
     values match bitwise, and the weights get a zero gradient.
     """
-    if stride < 1:
-        raise ContractViolation(f"stride must be >= 1, got {stride}")
     traced_input = isinstance(x, Node)
 
     def forward(xd, wd, bd):
-        xd = _batch(xd)
-        if xd.shape[-1] != wd.shape[3]:
-            raise ContractViolation(
-                f"input has {xd.shape[-1]} channels but kernel expects {wd.shape[3]}")
+        xd = _conv_input(xd, wd, stride)
         b, m, n, _ = xd.shape
-        if not traced_input and xd.size and not any(xd.strides) and xd.flat[0] == 0:
+        if not traced_input and not any(xd.strides) and xd.flat[0] == 0:
             out = np.zeros((b, -(-m // stride), -(-n // stride), wd.shape[2]),
                            dtype=np.result_type(xd, wd, bd))
             out += bd

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import ContractViolation
+from .tensor_core import _check_count
 
 CHECKPOINT_MAGIC = b"MGNET1"
 
@@ -70,8 +70,9 @@ def gen_synthetic(classes: int, per_class: int, size: int = 16, seed: int = 0) -
     separable after heavy spatial pooling) plus pixel noise of standard
     deviation 0.1.  Deterministic per seed; pixel values are clipped to [0, 1].
     """
-    if classes < 2:
-        raise ContractViolation(f"need at least 2 classes, got {classes}")
+    _check_count("classes", classes, 2)
+    _check_count("per_class", per_class, 1)
+    _check_count("size", size, 1)
     rng = np.random.default_rng(seed)
     ii, jj = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
     angles = 2.0 * np.pi * np.arange(classes) / classes

@@ -10,7 +10,7 @@ Jacobi scaled by the centre tap of each level's own map, so the smoother
 needs no second per-level representation.
 
 The backslash cycle smooths every level but the coarsest, which it solves
-exactly with a dense inverse, assembled from that level's taps on the
+exactly with a dense inverse, built from `apply`'s columns on the
 hierarchy's first coarse solve; this makes the cycle's convergence factor
 independent of depth.  The coarsest grid is therefore capped at
 ``COARSEST_MAX_SIZE`` per side (33x33: 1,089 unknowns, a 9.5 MB inverse).
@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid_transfer import prolongate, restrict_kr, stencil
-from .tensor_core import ContractViolation, _check_count, _taps
+from .tensor_core import ContractViolation, _check_count
 
 POISSON_STENCIL = np.array([[0.0, -1.0, 0.0],
                             [-1.0, 4.0, -1.0],
@@ -117,23 +117,13 @@ class PoissonHierarchy:
         """A^l u for the level-l grid."""
         return stencil(self._checked(u, level), self.fields[level - 1], 1)
 
-    def _assemble(self, level: int) -> np.ndarray:
-        """The level-l taps as a dense (m_l n_l, m_l n_l) matrix."""
-        m, n = self.sizes[level - 1]
-        rows = np.arange(m * n).reshape(m, n)
-        padded = np.pad(rows, 1, constant_values=-1)
-        windows = _taps(3, 1, m, n)
-        a = np.zeros((m * n, m * n))
-        for (p, q), c in self.fields[level - 1].items():
-            _, _, win_rows, win_cols = windows[3 * p + q]
-            col = padded[win_rows, win_cols]
-            inside = col >= 0
-            a[rows[inside], col[inside]] = np.broadcast_to(c, (m, n))[inside]
-        return a
-
     @cached_property
     def _coarse_inverse(self) -> np.ndarray:
-        return np.linalg.inv(self._assemble(self.levels))
+        """The inverse of the coarsest level's dense matrix, whose column j is
+        `apply` of the j-th unit vector of that grid."""
+        m, n = self.sizes[-1]
+        columns = [self.apply(e, self.levels).ravel() for e in np.eye(m * n).reshape(-1, m, n)]
+        return np.linalg.inv(np.stack(columns, axis=1))
 
     def coarse_solve(self, f: np.ndarray) -> np.ndarray:
         """Exact solve on the coarsest grid; the first call builds the dense inverse."""

@@ -201,21 +201,29 @@ def _batch(x) -> np.ndarray:
     return x
 
 
+def _conv_input(x, weights: np.ndarray, stride) -> np.ndarray:
+    """The conv contract of `conv2d` and `ad.conv2d`: `x` as a non-empty
+    (batch, h, w, c) array whose c is the in-channels of `weights`, and an
+    integer stride >= 1."""
+    x = _batch(x)
+    if x.size == 0:
+        raise ContractViolation(f"empty input tensor of shape {x.shape}")
+    _check_count("stride", stride, 1)
+    if x.shape[3] != weights.shape[3]:
+        raise ContractViolation(
+            f"input has {x.shape[3]} channels but kernel expects {weights.shape[3]}")
+    return x
+
+
 def conv2d(input: Tensor, kernel: ConvKernel, stride: int = 1) -> Tensor:
     """Multichannel convolution with stride and zero padding.
 
     Output channel ``t`` is ``sum_i K[i,t] * input[i] + bias[t]``; the output
     is ``(batch, ceil(h/stride), ceil(w/stride), out_channels)``.
     """
-    x = _batch(input)
-    if x.size == 0:
-        raise ContractViolation("empty input tensor")
-    if stride < 1:
-        raise ContractViolation(f"stride must be >= 1, got {stride}")
-    if x.shape[-1] != kernel.in_channels:
-        raise ContractViolation(
-            f"input has {x.shape[-1]} channels but kernel expects {kernel.in_channels}")
-    return _conv_forward(x, np.asarray(kernel.weights), np.asarray(kernel.bias), stride)
+    weights = np.asarray(kernel.weights)
+    return _conv_forward(_conv_input(input, weights, stride), weights,
+                         np.asarray(kernel.bias), stride)
 
 
 def relu(input: Tensor) -> Tensor:

@@ -150,11 +150,17 @@ class TestGradientsAgainstFiniteDifferences:
                                                                   * (1.0 / probe.size))
         np.testing.assert_array_equal(grad, want)
 
-    @pytest.mark.parametrize("stride", [0, -1])
+    # a traced input: the untraced path and tensor_core.conv2d are in test_tensor_core
+    @pytest.mark.parametrize("stride", [0, -1, 1.5, True])
     def test_bad_stride_raises(self, rng, stride):
-        x = rng.standard_normal((1, 5, 5, 1))
-        with pytest.raises(ContractViolation):
+        x = Parameter("x", rng.standard_normal((1, 5, 5, 1)))
+        with Tape(), pytest.raises(ContractViolation, match="stride"):
             ad.conv2d(x, identity_kernel(1), stride)
+
+    @pytest.mark.parametrize("shape", [(0, 5, 5, 1), (1, 0, 5, 1)], ids=["batch0", "height0"])
+    def test_empty_input_raises(self, shape):
+        with Tape(), pytest.raises(ContractViolation, match="empty"):
+            ad.conv2d(Parameter("x", np.zeros(shape)), identity_kernel(1), 1)
 
     def test_channel_mismatch_raises(self, rng):
         x = Parameter("x", rng.standard_normal((1, 5, 5, 2)))

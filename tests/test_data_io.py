@@ -97,6 +97,14 @@ class TestSynthetic:
         with pytest.raises(ContractViolation):
             gen_synthetic(1, 10)
 
+    @pytest.mark.parametrize("name,count", [
+        ("classes", 2.5), ("classes", True), ("per_class", 0), ("per_class", -3),
+        ("per_class", 1.0), ("size", 0), ("size", -1), ("size", 16.0)])
+    def test_counts_must_be_integers_in_range(self, name, count):
+        counts = {"classes": 2, "per_class": 10, "size": 16, name: count}
+        with pytest.raises(ContractViolation, match=f"{name} must be an integer"):
+            gen_synthetic(**counts)
+
     def test_nearest_centroid_separates_fresh_sample(self):
         train = gen_synthetic(2, 100, size=16, seed=7)
         test = gen_synthetic(2, 50, size=16, seed=8)

@@ -140,6 +140,16 @@ class TestForward:
         with pytest.raises(ContractViolation, match="level 1"):
             run_smoothing_sweep(rng.random((1, 8, 8, cfg.c_f)), cfg.nu, BadOps())
 
+    def test_empty_batch_rejected_before_batchnorm_buffers_move(self):
+        # an empty batch's mean and variance are NaN; the first conv must refuse it
+        cfg = small_config(use_batchnorm=True)
+        w = init_weights(cfg, seed=0)
+        before = {name: buf.tobytes() for name, buf in w.buffers.items()}
+        assert before
+        with pytest.raises(ContractViolation, match="empty"):
+            mgnet_forward(np.zeros((0, 8, 8, 1)), cfg, w, training=True)
+        assert {name: buf.tobytes() for name, buf in w.buffers.items()} == before
+
     @pytest.mark.parametrize("change", CONFIG_CHANGES.values(), ids=CONFIG_CHANGES)
     @pytest.mark.parametrize("training", [False, True])
     def test_config_other_than_the_weights_rejected(self, rng, change, training):

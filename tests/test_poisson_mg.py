@@ -408,6 +408,19 @@ class TestBackslashCycle:
         backslash_mg(f, h, [2, 2, 2], 0.8)
         assert vars(h)["_coarse_inverse"].shape == (25, 25)
 
+    # 5x5, 17x17 and 9x17 coarsest grids
+    @pytest.mark.parametrize("m,n,levels", [(33, 33, 4), (65, 65, 3), (17, 33, 2)])
+    def test_coarse_solve_inverts_apply(self, rng, m, n, levels):
+        h = PoissonHierarchy(m, n, levels)
+        u = rng.standard_normal(h.sizes[-1])
+        np.testing.assert_allclose(h.coarse_solve(h.apply(u, levels)), u, rtol=0.0, atol=1e-12)
+
+    def test_coarse_solve_matches_kronecker_oracle(self, rng):
+        h = PoissonHierarchy(17, 17, 1)
+        f = rng.standard_normal((17, 17))
+        want = np.linalg.solve(reference_poisson(17, 17), f.ravel()).reshape(17, 17)
+        np.testing.assert_allclose(h.coarse_solve(f), want, rtol=0.0, atol=1e-12)
+
     def test_last_residual_is_the_final_iterate_residual(self, rng):
         h = PoissonHierarchy(33, 33, 4)
         f = rng.standard_normal((33, 33))

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mgnet import autodiff as ad
 from mgnet import tensor_core
 from mgnet.tensor_core import ContractViolation, ConvKernel, conv2d, relu, softmax
 from mgnet.poisson_mg import POISSON_STENCIL
@@ -106,13 +107,20 @@ class TestConv2d:
             conv2d(x, identity_kernel(3), 1)
 
     def test_empty_input_raises(self):
-        with pytest.raises(ContractViolation, match="empty"):
-            conv2d(np.zeros((0, 5, 5, 1)), identity_kernel(1), 1)
+        # both entry points share one contract; ad.conv2d's zero-broadcast
+        # path (a read-only zero at every position) is held to it too
+        for conv in (conv2d, ad.conv2d):
+            for shape in [(0, 5, 5, 1), (1, 0, 5, 1)]:
+                for x in (np.zeros(shape), np.broadcast_to(0.0, shape)):
+                    with pytest.raises(ContractViolation, match="empty"):
+                        conv(x, identity_kernel(1), 1)
 
     def test_bad_stride_raises(self, rng):
         x = rng.standard_normal((1, 5, 5, 1))
-        with pytest.raises(ContractViolation, match="stride"):
-            conv2d(x, identity_kernel(1), 0)
+        for conv in (conv2d, ad.conv2d):
+            for stride in (0, -1, 1.5, True):
+                with pytest.raises(ContractViolation, match="stride"):
+                    conv(x, identity_kernel(1), stride)
 
 
 def blocked_and_whole(monkeypatch, fn, block_bytes):
